@@ -85,12 +85,16 @@ rt::vaddr_t GenerationalCollector::AllocateObject(rt::Jvm& jvm,
   if (rt::vaddr_t addr = YoungAllocate(jvm, bytes, logical_thread); addr != 0)
     return addr;
 
-  // Zone/extent exhaustion — the minor-GC trigger.
+  // Zone/extent exhaustion — the minor-GC trigger. A full collection walks
+  // the whole heap, so the mutators' TLABs are retired first (as on the
+  // allocation-failure path in Jvm::New) to keep it linearly parsable.
   if (!MinorCollect(jvm)) {
     // The old space could not host the tenure batch: full collection.
+    jvm.RetireAllTlabs();
     Collect(jvm);
     jvm.NoteCollectorTriggeredGc();
   } else if (config_.pressure_enabled && Escalate(jvm, last_minor_)) {
+    jvm.RetireAllTlabs();
     Collect(jvm);
     jvm.NoteCollectorTriggeredGc();
   }

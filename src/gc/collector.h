@@ -37,9 +37,6 @@ struct Move {
 struct CompactionPlan {
   std::uint64_t region_bytes = 0;
   std::vector<std::vector<Move>> region_moves;  // indexed by source region
-  // Highest destination region each source region writes into (dependency
-  // bound for the parallel compaction ordering). ~0 means "no moves".
-  std::vector<std::uint64_t> region_dep;
   // Dest-side gaps to refill with filler words after all moves complete.
   std::vector<std::pair<rt::vaddr_t, std::uint64_t>> fillers;
   rt::vaddr_t new_top = 0;

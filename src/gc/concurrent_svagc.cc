@@ -195,14 +195,13 @@ void ConcurrentSvagc::StepRemark() {
   const std::uint64_t num_regions =
       CeilDiv(heap.capacity(), config_.region_bytes);
   plan_.region_moves.resize(num_regions);
-  plan_.region_dep.assign(num_regions, kNoDep);
   plan_cursor_ = heap.base();
   comp_pnt_ = heap.base();
   phase_ = ConcPhase::kPlan;
 }
 
-// Resumable replica of ComputeForwarding (forwarding.cc): same destinations,
-// same fillers, same region moves/deps, same charges — but walked over
+// ComputeForwarding's walk (forwarding.cc) made resumable: the same
+// CalcNewAdd step and the same charges, so the same plan — but walked over
 // [plan_cursor_, top_at_plan) in budget-bounded quanta, and additionally
 // feeding the fwd/rev side maps the barrier serves from (the STW path reads
 // forwarding words instead, which evacuation clobbers before our adjust).
@@ -231,34 +230,15 @@ void ConcurrentSvagc::StepPlanQuantum() {
                                static_cast<double>(size));
         if (bitmap_->IsMarked(addr)) {
           ctx.account.Charge(sim::CostKind::kCompute, costs().forward_obj);
-          const bool large = heap.IsLargeObject(size);
-          const rt::vaddr_t dst = heap.AlignFor(size, comp_pnt_);
-          if (dst > comp_pnt_) {
-            plan_.fillers.emplace_back(comp_pnt_, dst - comp_pnt_);
-          }
-          rt::ObjectView view(as, addr);
-          view.set_forwarding(dst);
-          live_.push_back(addr);
+          const rt::vaddr_t dst = CalcNewAdd(
+              heap, as, addr, size, /*evacuate_all_live=*/false, comp_pnt_,
+              {plan_.fillers, plan_.region_moves[region_of(addr)],
+               plan_.moved_objects, &live_});
           ++plan_.live_objects;
           plan_.live_bytes += size;
           if (dst != addr) {
-            SVAGC_DCHECK(dst < addr);  // sliding compaction only moves left
-            const std::uint64_t region = region_of(addr);
-            const rt::vaddr_t dst_hi =
-                (large ? AlignUp(dst + size, sim::kPageSize) : dst + size) - 1;
-            auto& dep = plan_.region_dep[region];
-            const std::uint64_t candidate = region_of(dst_hi);
-            dep = (dep == kNoDep) ? candidate : std::max(dep, candidate);
-            plan_.region_moves[region].push_back(Move{addr, dst, size, large});
-            ++plan_.moved_objects;
             fwd_.emplace(addr, dst);
             rev_.emplace(dst, addr);
-          }
-          comp_pnt_ = dst + size;
-          const rt::vaddr_t post = heap.AlignFor(size, comp_pnt_);
-          if (post > comp_pnt_) {
-            plan_.fillers.emplace_back(comp_pnt_, post - comp_pnt_);
-            comp_pnt_ = post;
           }
         }
         plan_cursor_ += size;

@@ -20,9 +20,9 @@
 //                      (parsable-heap point), snapshots top_at_plan, arms
 //                      the plan walk. SATB off; allocation now goes above
 //                      top_at_plan and is exempt from the plan.
-//   kPlan       conc.  resumable forwarding walk over [base, top_at_plan),
-//                      replicating ComputeForwarding bit-for-bit (same plan,
-//                      same fillers, same charges) but yielding on the
+//   kPlan       conc.  resumable forwarding walk over [base, top_at_plan):
+//                      ComputeForwarding's walk and CalcNewAdd step (same
+//                      plan, same fillers, same charges), yielding on the
 //                      quantum budget; also builds the old->new (fwd) and
 //                      new->old (rev) side maps the barrier serves from.
 //   kEvacuate   [STW]  incremental relocation windows: moves execute in

@@ -11,14 +11,7 @@ ForwardingResult ComputeForwarding(rt::Jvm& jvm, const MarkBitmap& bitmap,
   sim::AddressSpace& as = jvm.address_space();
   CompactionPlan& plan = result.plan;
   plan.region_bytes = region_bytes;
-  const std::uint64_t num_regions =
-      CeilDiv(heap.capacity(), region_bytes);
-  plan.region_moves.resize(num_regions);
-  plan.region_dep.assign(num_regions, kNoDep);
-
-  auto region_of = [&](rt::vaddr_t addr) {
-    return (addr - heap.base()) / region_bytes;
-  };
+  plan.region_moves.resize(CeilDiv(heap.capacity(), region_bytes));
 
   // Linear sweep over the whole used heap (phase II touches every header).
   ctx.account.Charge(sim::CostKind::kCompute,
@@ -28,43 +21,12 @@ ForwardingResult ComputeForwarding(rt::Jvm& jvm, const MarkBitmap& bitmap,
   heap.ForEachObject([&](rt::vaddr_t addr, std::uint64_t size) {
     if (!bitmap.IsMarked(addr)) return;  // garbage: skipped, space reclaimed
     ctx.account.Charge(sim::CostKind::kCompute, costs.forward_obj);
-    const bool large = heap.IsLargeObject(size);
-
-    // CALCNEWADD: align the compaction pointer for large objects, with the
-    // gap recorded as a dest-side filler.
-    const rt::vaddr_t dst = heap.AlignFor(size, comp_pnt);
-    if (dst > comp_pnt) plan.fillers.emplace_back(comp_pnt, dst - comp_pnt);
-
-    rt::ObjectView view(as, addr);
-    view.set_forwarding(dst);
-    result.live.push_back(addr);
+    const std::uint64_t region = (addr - heap.base()) / region_bytes;
+    CalcNewAdd(heap, as, addr, size, evacuate_all_live, comp_pnt,
+               {plan.fillers, plan.region_moves[region], plan.moved_objects,
+                &result.live});
     ++plan.live_objects;
     plan.live_bytes += size;
-
-    if (dst != addr || evacuate_all_live) {
-      SVAGC_DCHECK(dst <= addr);  // sliding compaction only moves left
-      const std::uint64_t region = region_of(addr);
-      // Dependency bound: the highest region this move writes into. Large
-      // objects may be swapped, whose page rotation also writes the tail of
-      // the *destination* page extent; the source-extent tail is the
-      // object's own region (>= region) and needs no extra ordering.
-      const rt::vaddr_t dst_hi =
-          (large ? AlignUp(dst + size, sim::kPageSize) : dst + size) - 1;
-      auto& dep = plan.region_dep[region];
-      const std::uint64_t dep_candidate = region_of(dst_hi);
-      dep = (dep == kNoDep) ? dep_candidate : std::max(dep, dep_candidate);
-      plan.region_moves[region].push_back(Move{addr, dst, size, large});
-      ++plan.moved_objects;
-    }
-
-    comp_pnt = dst + size;
-    // Post-alignment after a large object (Algorithm 3 line 25): the next
-    // destination starts on a fresh page; the tail becomes filler.
-    const rt::vaddr_t post = heap.AlignFor(size, comp_pnt);
-    if (post > comp_pnt) {
-      plan.fillers.emplace_back(comp_pnt, post - comp_pnt);
-      comp_pnt = post;
-    }
   });
   plan.new_top = comp_pnt;
   return result;
@@ -111,7 +73,6 @@ ForwardingResult ComputeForwardingParallel(rt::Jvm& jvm,
   plan.region_bytes = region_bytes;
   const std::uint64_t num_regions = CeilDiv(heap.capacity(), region_bytes);
   plan.region_moves.resize(num_regions);
-  plan.region_dep.assign(num_regions, kNoDep);
 
   const rt::vaddr_t base = heap.base();
   const rt::vaddr_t top = heap.top();
@@ -119,9 +80,6 @@ ForwardingResult ComputeForwardingParallel(rt::Jvm& jvm,
   const unsigned stride = collector.gc_threads();
   double cp = 0;
 
-  auto region_of = [&](rt::vaddr_t addr) {
-    return (addr - base) / region_bytes;
-  };
   auto region_begin = [&](std::uint64_t r) { return base + r * region_bytes; };
   auto region_end = [&](std::uint64_t r) {
     return std::min<rt::vaddr_t>(base + (r + 1) * region_bytes, top);
@@ -210,7 +168,7 @@ ForwardingResult ComputeForwardingParallel(rt::Jvm& jvm,
     plan.new_top = entry;
   });
 
-  // Step 3: parallel install — every region replays Algorithm 3 from its
+  // Step 3: parallel install — every region runs CalcNewAdd from its
   // precomputed base, writing forwarding slots and emitting its own live,
   // filler and move lists. Same strided assignment as step 1.
   std::vector<std::vector<rt::vaddr_t>> live_by_region(used_regions);
@@ -226,38 +184,12 @@ ForwardingResult ComputeForwardingParallel(rt::Jvm& jvm,
                          costs.heap_scan_per_byte *
                              static_cast<double>(hi - lo));
       rt::vaddr_t comp_pnt = entries[r];
+      const CalcNewAddSink sink{fillers_by_region[r], plan.region_moves[r],
+                                moved_by_region[r], &live_by_region[r]};
       bitmap.ForEachMarkedInRange(lo, hi, [&](rt::vaddr_t addr) {
         ctx.account.Charge(sim::CostKind::kCompute, costs.forward_obj);
         const std::uint64_t size = rt::ObjectView(as, addr).size();
-        const bool large = heap.IsLargeObject(size);
-
-        const rt::vaddr_t dst = heap.AlignFor(size, comp_pnt);
-        if (dst > comp_pnt) {
-          fillers_by_region[r].emplace_back(comp_pnt, dst - comp_pnt);
-        }
-
-        rt::ObjectView view(as, addr);
-        view.set_forwarding(dst);
-        live_by_region[r].push_back(addr);
-
-        if (dst != addr || evacuate_all_live) {
-          SVAGC_DCHECK(dst <= addr);
-          const rt::vaddr_t dst_hi =
-              (large ? AlignUp(dst + size, sim::kPageSize) : dst + size) - 1;
-          auto& dep = plan.region_dep[r];
-          const std::uint64_t dep_candidate = region_of(dst_hi);
-          dep = (dep == kNoDep) ? dep_candidate
-                                : std::max(dep, dep_candidate);
-          plan.region_moves[r].push_back(Move{addr, dst, size, large});
-          ++moved_by_region[r];
-        }
-
-        comp_pnt = dst + size;
-        const rt::vaddr_t post = heap.AlignFor(size, comp_pnt);
-        if (post > comp_pnt) {
-          fillers_by_region[r].emplace_back(comp_pnt, post - comp_pnt);
-          comp_pnt = post;
-        }
+        CalcNewAdd(heap, as, addr, size, evacuate_all_live, comp_pnt, sink);
       });
       // The replayed layout must land exactly on the next region's entry —
       // the prefix scan and the install pass agree or the plan is corrupt.

@@ -1,25 +1,25 @@
 // Phase II (forwarding-address calculation, Algorithm 3's CALCNEWADD) and
 // phase III (pointer adjustment) of the LISP2 family.
 //
-// Forwarding is the collectors' "summary" step. Two implementations produce
-// bit-identical CompactionPlans:
+// CALCNEWADD's per-object step is CalcNewAdd below. Three walks drive it and
+// produce the same CompactionPlan:
 //
-//  * ComputeForwarding — the serial reference, one linear heap walk (the
-//    shape of HotSpot ParallelGC's summary phase). Kept as the oracle the
-//    parallel plan is verified against.
-//  * ComputeForwardingParallel — a three-step region pipeline. Step 1
-//    sweeps the MarkBitmap per region in parallel, reducing each region to
-//    a tiny summary (small-object bytes before the first large object,
-//    whether a large object occurs, and the entry-independent layout tail
-//    after it). Step 2 is a serial exclusive prefix scan over those
-//    summaries that fixes every region's destination base — O(regions),
-//    regardless of heap size. Step 3 installs forwarding addresses and
-//    emits per-region Move/filler/live lists in parallel, each region
-//    starting from its precomputed base.
+//  * ComputeForwarding — one linear heap walk (the shape of HotSpot
+//    ParallelGC's summary phase). The production path at one GC thread and
+//    the oracle the other walks are verified against.
+//  * ComputeForwardingParallel — a three-step region pipeline, used above
+//    one GC thread. Step 1 sweeps the MarkBitmap per region in parallel,
+//    reducing each region to a tiny summary (small-object bytes before the
+//    first large object, whether a large object occurs, and the
+//    entry-independent layout tail after it). Step 2 is a serial exclusive
+//    prefix scan over those summaries that fixes every region's destination
+//    base — O(regions), regardless of heap size. Step 3 runs CalcNewAdd per
+//    region in parallel, each region starting from its precomputed base.
+//  * ConcurrentSvagc's resumable plan walk (gc/concurrent_svagc.cc), which
+//    runs ComputeForwarding's walk in budget-bounded quanta.
 //
-// Both produce the CompactionPlan consumed by the compaction phase,
-// including the region dependency bounds that make parallel sliding
-// compaction safe and the filler spans that keep the heap parsable.
+// The plan carries the per-region move lists the compaction phase executes
+// and the filler spans that keep the heap parsable.
 #pragma once
 
 #include "gc/collector.h"
@@ -29,7 +29,6 @@
 namespace svagc::gc {
 
 inline constexpr std::uint64_t kDefaultRegionBytes = 64 * sim::kPageSize;
-inline constexpr std::uint64_t kNoDep = ~0ULL;
 
 struct ForwardingResult {
   CompactionPlan plan;
@@ -37,6 +36,47 @@ struct ForwardingResult {
   // phase strides over this list.
   std::vector<rt::vaddr_t> live;
 };
+
+// Where one CalcNewAdd step records its results. The serial and concurrent
+// walks point these at the plan itself; the parallel install points them at
+// per-region lists it stitches afterwards. `live` may be null: the plan
+// optimizer's replay keeps the live list it was given.
+struct CalcNewAddSink {
+  std::vector<std::pair<rt::vaddr_t, std::uint64_t>>& fillers;
+  std::vector<Move>& moves;  // the move list of the object's source region
+  std::uint64_t& moved_objects;
+  std::vector<rt::vaddr_t>* live;
+};
+
+// Algorithm 3's CALCNEWADD for the live object at `addr`: aligns `comp_pnt`
+// for the object's size class (the gap becomes a dest-side filler), stores
+// the destination in the object's forwarding slot, appends the object to the
+// live list, plans a Move when the object is displaced (or always, with
+// `evacuate_all_live` — the cost shape of an evacuating collector), and
+// post-aligns after a large object (line 25: the next destination starts on a
+// fresh page; the tail becomes filler). Returns the destination; `comp_pnt`
+// advances past the object. Charges nothing: each walk charges its own scan.
+inline rt::vaddr_t CalcNewAdd(const rt::Heap& heap, sim::AddressSpace& as,
+                              rt::vaddr_t addr, std::uint64_t size,
+                              bool evacuate_all_live, rt::vaddr_t& comp_pnt,
+                              const CalcNewAddSink& sink) {
+  const rt::vaddr_t dst = heap.AlignFor(size, comp_pnt);
+  if (dst > comp_pnt) sink.fillers.emplace_back(comp_pnt, dst - comp_pnt);
+  rt::ObjectView(as, addr).set_forwarding(dst);
+  if (sink.live != nullptr) sink.live->push_back(addr);
+  if (dst != addr || evacuate_all_live) {
+    SVAGC_DCHECK(dst <= addr);  // sliding compaction only moves left
+    sink.moves.push_back(Move{addr, dst, size, heap.IsLargeObject(size)});
+    ++sink.moved_objects;
+  }
+  comp_pnt = dst + size;
+  const rt::vaddr_t post = heap.AlignFor(size, comp_pnt);
+  if (post > comp_pnt) {
+    sink.fillers.emplace_back(comp_pnt, post - comp_pnt);
+    comp_pnt = post;
+  }
+  return dst;
+}
 
 // Walks the heap, assigns each live object its destination (page-aligning
 // large objects per the heap's policy), stores it in the object header's

@@ -135,14 +135,13 @@ void ParallelLisp2::StepMark() {
 }
 
 // Phase II: forwarding calculation. The parallel region-summary pipeline
-// needs >= 2 workers to beat the single-sweep serial reference (its
-// summary + install passes read every live header twice).
+// needs >= 2 workers to beat the single-sweep serial walk (its summary +
+// install passes read every live header twice).
 void ParallelLisp2::StepForward() {
   CycleState& c = *cycle_;
   rt::Jvm& jvm = *c.jvm;
   BeginPhaseCapture();
-  if (forwarding_mode_ == ForwardingMode::kParallelSummary &&
-      gc_threads() > 1) {
+  if (gc_threads() > 1) {
     c.fwd = ComputeForwardingParallel(jvm, c.bitmap, *this, region_bytes_,
                                       EvacuateAllLive(), &c.rec.forward);
   } else {
@@ -214,8 +213,9 @@ void ParallelLisp2::StepCompact() {
 
   BeginPhaseCapture();
   if (compact_workers <= 1) {
-    // Serial compaction (the Shenandoah-like baseline's copying phase):
-    // in-address-order evacuation needs no dependency tracking.
+    // Serial compaction (one GC thread, or the Shenandoah-like baseline's
+    // copying phase): in-address-order evacuation needs no dependency
+    // tracking.
     const std::uint64_t num_regions = plan.region_moves.size();
     c.rec.compact = RunSerialPhase([&](sim::CpuContext& ctx) {
       for (std::uint64_t region = 0; region < num_regions; ++region) {
@@ -225,9 +225,6 @@ void ParallelLisp2::StepCompact() {
         FlushMoves(jvm, ctx, /*worker=*/0);
       }
     });
-    if (tracing) c.tasks[3] = WorkerTaskSpans("compact", EndPhaseCapture());
-  } else if (scheduler_ == CompactionSchedulerKind::kStaticBlocks) {
-    c.rec.compact = CompactStaticBlocks(jvm, plan, compact_workers);
     if (tracing) c.tasks[3] = WorkerTaskSpans("compact", EndPhaseCapture());
   } else {
     // Work stealing runs against scratch accounts, so worker deltas carry
@@ -265,66 +262,15 @@ void ParallelLisp2::ExecuteRegion(rt::Jvm& jvm, sim::CpuContext& ctx,
   region_cost_[region] = ctx.account.total() - before;
 }
 
-// Legacy scheduler: each worker owns a contiguous block of regions (HotSpot
-// assigns destination regions to threads the same way) and walks it in
-// ascending order. Deterministic balanced distribution keeps the modeled
-// critical path a property of the algorithm, not of host thread scheduling
-// (dynamic claiming without the replay would degenerate to one worker on a
-// single-CPU build host). Dependency waits check a single monotone
-// completed-prefix frontier instead of re-scanning every region up to the
-// dependency bound on each spin. Spinning costs host time, not modeled
-// cycles — on real hardware these waits overlap with useful work on the
-// blocked worker's siblings, and the modeled critical path already reflects
-// the per-worker work imbalance.
-double ParallelLisp2::CompactStaticBlocks(rt::Jvm& jvm,
-                                          const CompactionPlan& plan,
-                                          unsigned compact_workers) {
-  const std::uint64_t num_regions = plan.region_moves.size();
-  region_done_ = std::vector<std::atomic<bool>>(num_regions);
-  for (auto& done : region_done_) done.store(false, std::memory_order_relaxed);
-  frontier_.store(0, std::memory_order_relaxed);
-  region_cost_.assign(num_regions, 0.0);
-
-  const std::uint64_t block =
-      (num_regions + compact_workers - 1) / compact_workers;
-  return RunParallelPhase([&](unsigned worker, sim::CpuContext& ctx) {
-    if (worker >= compact_workers) return;
-    const std::uint64_t begin = worker * block;
-    const std::uint64_t end =
-        std::min<std::uint64_t>(num_regions, begin + block);
-    for (std::uint64_t region = begin; region < end; ++region) {
-      const std::uint64_t dep = plan.region_dep[region];
-      // Prefix semantics: every region below min(dep + 1, region) must be
-      // evacuated before this one may write into their span.
-      const std::uint64_t need =
-          (dep == kNoDep) ? 0 : std::min<std::uint64_t>(dep + 1, region);
-      while (frontier_.load(std::memory_order_acquire) < need) {
-        std::this_thread::yield();
-      }
-      ExecuteRegion(jvm, ctx, worker, plan, region);
-      PublishRegionDone(region);
-    }
-  });
-}
-
-void ParallelLisp2::PublishRegionDone(std::uint64_t region) {
-  region_done_[region].store(true, std::memory_order_release);
-  SpinLockGuard guard(sched_lock_);
-  std::uint64_t f = frontier_.load(std::memory_order_relaxed);
-  const std::uint64_t n = region_done_.size();
-  while (f < n && region_done_[f].load(std::memory_order_acquire)) ++f;
-  frontier_.store(f, std::memory_order_release);
-}
-
 // Work-stealing scheduler. Readiness is computed from byte-precise move
 // extents: region r must wait exactly for the earlier regions whose *source*
 // extents intersect r's destination extent — r's moves write there (bytes
 // for memmove, PTEs for SwapVA, page-rounded for large objects), so those
 // sources must be evacuated first. Regions whose sources lie entirely below
 // r's lowest destination, or entirely above its highest, need no ordering —
-// strictly weaker than the legacy "all regions up to region_dep" prefix
-// rule, which is what lets small-slide cycles (garbage-poor heaps) still
-// run regions in parallel. Source extents are needed (not just region
+// strictly weaker than "every region up to the highest one r writes into",
+// which is what lets small-slide cycles (garbage-poor heaps) still run
+// regions in parallel. Source extents are needed (not just region
 // indices) because a large object can span region boundaries: its source
 // tail lives in higher regions than the region that owns the move.
 double ParallelLisp2::CompactWorkStealing(rt::Jvm& jvm,

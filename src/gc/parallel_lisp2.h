@@ -3,15 +3,14 @@
 //
 // Phase structure per cycle (paper §II):
 //   I   marking            — parallel, level-synchronous work distribution
-//   II  forwarding calc    — parallel region-summary pipeline (sweep ‖,
-//                            prefix scan, install ‖), or the serial
-//                            reference summary when configured
+//   II  forwarding calc    — the serial walk at one GC thread, the parallel
+//                            region-summary pipeline above that (both in
+//                            gc/forwarding.h, bit-identical plans)
 //   III pointer adjustment — parallel over the live list
-//   IV  compaction         — parallel sliding compaction over regions,
-//                            scheduled either by a dependency-aware
-//                            work-stealing ready queue (default) or by the
-//                            legacy static contiguous blocks; serial when
-//                            compact_parallelism() == 1.
+//   IV  compaction         — in address order when compact_parallelism() is
+//                            1; otherwise parallel sliding compaction over
+//                            regions, scheduled by a dependency-aware
+//                            work-stealing ready queue.
 //
 // Subclasses specialize MoveObject (SwapVA vs memmove), the compaction
 // prologue/epilogue (pinning + up-front TLB shootdown for SVAGC), and the
@@ -27,38 +26,9 @@
 #include "gc/mark.h"
 #include "gc/phase_engine.h"
 #include "gc/plan_optimizer.h"
-#include "support/spin_lock.h"
 #include "support/ws_deque.h"
 
 namespace svagc::gc {
-
-// Phase II implementation choice. kParallelSummary uses the region-summary
-// pipeline whenever the gang has more than one worker (with one worker the
-// pipeline's second sweep is pure overhead, so it falls back to the serial
-// reference).
-enum class ForwardingMode {
-  kSerial,
-  kParallelSummary,
-};
-
-// Phase IV scheduling choice.
-//
-// kStaticBlocks: each worker owns a contiguous block of regions and walks it
-// in order, waiting on a monotone completed-prefix frontier before evacuating
-// a region with dependencies. Deterministic by construction; load-imbalanced
-// when live data clusters.
-//
-// kWorkStealing: regions become ready when the interval of regions their
-// moves write into has been evacuated, are released into the completing
-// worker's Chase-Lev deque, and are claimed by whichever worker is idle.
-// The real execution order is host-dependent, so the *reported* compact
-// cycles come from a deterministic list-scheduling replay over per-region
-// costs (which are order-independent — see parallel_lisp2.cc) rather than
-// from the racy per-worker account deltas.
-enum class CompactionSchedulerKind {
-  kStaticBlocks,
-  kWorkStealing,
-};
 
 // The four top-level phases of one LISP2 cycle, in execution order. Used by
 // the stepwise collection API: a driver (the fleet arbiter) can run several
@@ -118,12 +88,6 @@ class ParallelLisp2 : public CollectorBase, public PhaseEngine {
     return cycle_ == nullptr ? GcPhase::kDone : cycle_->next;
   }
 
-  ForwardingMode forwarding_mode() const { return forwarding_mode_; }
-  void set_forwarding_mode(ForwardingMode mode) { forwarding_mode_ = mode; }
-  CompactionSchedulerKind compaction_scheduler() const { return scheduler_; }
-  void set_compaction_scheduler(CompactionSchedulerKind kind) {
-    scheduler_ = kind;
-  }
   const PlanOptimizerConfig& plan_optimizer() const { return plan_optimizer_; }
   void set_plan_optimizer(const PlanOptimizerConfig& config) {
     plan_optimizer_ = config;
@@ -204,32 +168,26 @@ class ParallelLisp2 : public CollectorBase, public PhaseEngine {
   void ExecuteRegion(rt::Jvm& jvm, sim::CpuContext& ctx, unsigned worker,
                      const CompactionPlan& plan, std::uint64_t region);
 
-  double CompactStaticBlocks(rt::Jvm& jvm, const CompactionPlan& plan,
-                             unsigned compact_workers);
-  // When `compact_tasks` is non-null, the deterministic replay also emits
-  // one phase-relative TaskSpan per region (the per-worker task spans the
-  // trace shows for the work-stealing schedule).
+  // Work-stealing compaction. Regions become ready when every earlier region
+  // whose sources their moves overwrite has been evacuated; they are
+  // released into the completing worker's Chase-Lev deque and claimed by
+  // whichever worker is idle. The real execution order is host-dependent,
+  // so the *reported* compact cycles come from a deterministic
+  // list-scheduling replay over per-region costs (which are
+  // order-independent — see parallel_lisp2.cc) rather than from the racy
+  // per-worker account deltas. When `compact_tasks` is non-null, the replay
+  // also emits one phase-relative TaskSpan per region.
   double CompactWorkStealing(rt::Jvm& jvm, const CompactionPlan& plan,
                              unsigned compact_workers,
                              std::vector<TaskSpan>* compact_tasks);
 
-  // Static-blocks path: publishes `region` done and advances the monotone
-  // completed-prefix frontier (satellite fix for the old 0..dep re-scan).
-  void PublishRegionDone(std::uint64_t region);
-
-  ForwardingMode forwarding_mode_ = ForwardingMode::kParallelSummary;
-  CompactionSchedulerKind scheduler_ = CompactionSchedulerKind::kWorkStealing;
   PlanOptimizerConfig plan_optimizer_;
   PlanOptimizerStats last_plan_stats_;
   std::unique_ptr<CycleState> cycle_;
 
-  // --- Per-cycle compaction scheduling state ---
-  // Static blocks: completion flags + monotone done-prefix frontier.
-  std::vector<std::atomic<bool>> region_done_;
-  std::atomic<std::uint64_t> frontier_{0};
-  SpinLock sched_lock_;
-  // Work stealing: per-worker ready deques, per-region unmet-dependency
-  // counters, and for each region the list of regions waiting on it.
+  // --- Per-cycle work-stealing state ---
+  // Per-worker ready deques, per-region unmet-dependency counters, and for
+  // each region the list of regions waiting on it.
   std::vector<std::unique_ptr<WorkStealingDeque<std::uint64_t>>> deques_;
   std::vector<std::atomic<std::uint32_t>> deps_left_;
   std::vector<std::vector<std::uint64_t>> watchers_;

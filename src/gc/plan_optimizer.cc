@@ -115,21 +115,14 @@ PlanOptimizerStats OptimizePlan(rt::Jvm& jvm, ForwardingResult& fwd,
   }
 
   // Layout pass: re-run CALCNEWADD over the live list with the prefix pinned
-  // and (optionally) small-object runs coalesced. Rebuilds moves, deps,
-  // fillers, moved_objects and new_top from scratch; live_objects/live_bytes
-  // and fwd.live are untouched (phase III still visits pinned objects).
+  // and (optionally) small-object runs coalesced. Rebuilds moves, fillers,
+  // moved_objects and new_top from scratch; live_objects/live_bytes and
+  // fwd.live are untouched (phase III still visits pinned objects).
   for (auto& moves : plan.region_moves) moves.clear();
-  plan.region_dep.assign(plan.region_dep.size(), kNoDep);
   plan.fillers.clear();
   plan.moved_objects = 0;
   ctx.account.Charge(sim::CostKind::kCompute,
                      costs.plan_obj * static_cast<double>(n));
-
-  auto note_dep = [&](std::uint64_t region, rt::vaddr_t dst_hi) {
-    auto& dep = plan.region_dep[region];
-    const std::uint64_t candidate = region_of(dst_hi);
-    dep = (dep == kNoDep) ? candidate : std::max(dep, candidate);
-  };
 
   rt::vaddr_t comp_pnt = base;
   std::size_t i = 0;
@@ -206,10 +199,6 @@ PlanOptimizerStats OptimizePlan(rt::Jvm& jvm, ForwardingResult& fwd,
 
       if (dst != addr || evacuate_all_live) {
         SVAGC_DCHECK(dst <= addr);
-        // Byte-precise dep: run interior swaps write only inside
-        // [dst, dst+len) — interior pages sit fully inside the byte span, so
-        // no page-rounding is needed (unlike the large-object case).
-        note_dep(region_of(addr), dst + len - 1);
         plan.region_moves[region_of(addr)].push_back(
             Move{addr, dst, len, /*large=*/false, /*run=*/true, count});
         plan.moved_objects += count;
@@ -222,25 +211,10 @@ PlanOptimizerStats OptimizePlan(rt::Jvm& jvm, ForwardingResult& fwd,
       comp_pnt = dst + len;
       i = j;
     } else {
-      // Verbatim CALCNEWADD replay (large objects, or coalescing off).
-      const rt::vaddr_t dst = heap.AlignFor(size, comp_pnt);
-      if (dst > comp_pnt) plan.fillers.emplace_back(comp_pnt, dst - comp_pnt);
-      rt::ObjectView(as, addr).set_forwarding(dst);
-      if (dst != addr || evacuate_all_live) {
-        SVAGC_DCHECK(dst <= addr);
-        const rt::vaddr_t dst_hi =
-            (large ? AlignUp(dst + size, sim::kPageSize) : dst + size) - 1;
-        note_dep(region_of(addr), dst_hi);
-        plan.region_moves[region_of(addr)].push_back(
-            Move{addr, dst, size, large});
-        ++plan.moved_objects;
-      }
-      comp_pnt = dst + size;
-      const rt::vaddr_t post = heap.AlignFor(size, comp_pnt);
-      if (post > comp_pnt) {
-        plan.fillers.emplace_back(comp_pnt, post - comp_pnt);
-        comp_pnt = post;
-      }
+      // Plain CALCNEWADD (large objects, or coalescing off).
+      CalcNewAdd(heap, as, addr, size, evacuate_all_live, comp_pnt,
+                 {plan.fillers, plan.region_moves[region_of(addr)],
+                  plan.moved_objects, /*live=*/nullptr});
       ++i;
     }
   }

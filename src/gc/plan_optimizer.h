@@ -31,9 +31,10 @@
 //    MoveObjectConfig::threshold_pages for the cycle's dispatch decisions.
 //
 // The rewrite re-runs Algorithm 3's CALCNEWADD over the live list, so the
-// plan invariants the compaction schedulers rely on keep holding: moves
-// ascend in src and dst, dst <= src, fillers tile every destination gap,
-// region_dep reflects the rewritten moves' byte-precise highest write.
+// plan invariants the compaction scheduler relies on keep holding: moves
+// ascend in src and dst, dst <= src, and fillers tile every destination gap.
+// A run's move writes only [dst, dst+len) (its interior pages sit inside the
+// byte span), so the scheduler's byte-precise extents cover it unchanged.
 #pragma once
 
 #include <cstdint>

@@ -78,8 +78,6 @@ std::unique_ptr<rt::CollectorIface> MakeCollector(CollectorKind kind,
   }
   SVAGC_CHECK(collector != nullptr);
   if (auto* lisp2 = dynamic_cast<gc::ParallelLisp2*>(collector.get())) {
-    lisp2->set_forwarding_mode(config.forwarding);
-    lisp2->set_compaction_scheduler(config.compaction_scheduler);
     gc::PlanOptimizerConfig optimizer = config.plan_optimizer;
     // Cold advice names the compaction plan's dense prefix; without the
     // dense-prefix elision pass no prefix exists to advise, so the knob

@@ -45,11 +45,6 @@ struct RunConfig {
   // 0 keeps gc::ConcurrentSvagcConfig's default. fig22 sweeps pause bounds
   // through this without constructing collectors by hand.
   double concurrent_quantum_cycles = 0;
-  // Phase II / phase IV strategy knobs (fig17 sweeps these; the defaults
-  // are the production configuration used by every other figure).
-  gc::ForwardingMode forwarding = gc::ForwardingMode::kParallelSummary;
-  gc::CompactionSchedulerKind compaction_scheduler =
-      gc::CompactionSchedulerKind::kWorkStealing;
   // Compaction-plan optimizer (fig19 sweeps the knobs; all off by default,
   // which keeps plans bit-identical to the unoptimized pipeline).
   gc::PlanOptimizerConfig plan_optimizer;

@@ -193,11 +193,12 @@ TEST(GcSoak, SvagcSurvivesSustainedChurn) {
 
 // --- compaction scheduler ----------------------------------------------------
 
-// Drives a deterministic churn (same seed, same allocation sequence) under a
-// given phase-IV scheduler and returns the final heap digest plus the modeled
-// phase totals. GC triggering, forwarding, and the moves themselves are all
-// deterministic, so everything but the *scheduling* of region evacuation is
-// held fixed between arms.
+// Drives a deterministic churn (same seed, same allocation sequence) with a
+// given GC gang size and returns the final heap digest plus the modeled
+// phase totals. GC triggering and the plan are deterministic and independent
+// of the gang size (the serial and parallel forwarding walks produce the same
+// plan), so between gang sizes only the *scheduling* of region evacuation
+// changes: in address order at one GC thread, work stealing above that.
 struct ChurnOutcome {
   verify::HeapDigest digest;
   std::uint64_t gc_count = 0;
@@ -205,17 +206,14 @@ struct ChurnOutcome {
   double pause_total = 0;
 };
 
-ChurnOutcome RunScheduledChurn(gc::CompactionSchedulerKind kind,
-                               unsigned gc_threads) {
+ChurnOutcome RunScheduledChurn(unsigned gc_threads) {
   SimBundle sim(16, 512ULL << 20);
   rt::JvmConfig config;
   config.heap.capacity = 3 << 20;
   config.logical_threads = 4;
   rt::Jvm jvm(sim.machine, sim.phys, sim.kernel, config);
-  auto collector =
-      std::make_unique<core::SvagcCollector>(sim.machine, gc_threads, 0);
-  collector->set_compaction_scheduler(kind);
-  jvm.set_collector(std::move(collector));
+  jvm.set_collector(
+      std::make_unique<core::SvagcCollector>(sim.machine, gc_threads, 0));
 
   Rng rng(412);
   constexpr unsigned kSlots = 32;
@@ -238,30 +236,34 @@ ChurnOutcome RunScheduledChurn(gc::CompactionSchedulerKind kind,
   return outcome;
 }
 
-// Work stealing executes regions in a host-dependent order, but the final
-// heap image must be byte-identical to the static scheduler's: the plan
-// fully determines the result, the scheduler only determines who moves what
-// when.
-TEST(CompactionScheduler, WorkStealingHeapMatchesStaticBlocks) {
-  const ChurnOutcome stat =
-      RunScheduledChurn(gc::CompactionSchedulerKind::kStaticBlocks, 8);
-  const ChurnOutcome steal =
-      RunScheduledChurn(gc::CompactionSchedulerKind::kWorkStealing, 8);
-  EXPECT_GT(steal.gc_count, 10u);
-  EXPECT_EQ(steal.gc_count, stat.gc_count);
+// Expects a work-stealing run to leave the byte-identical heap of the
+// one-thread, in-address-order compaction: the plan fully determines the
+// result, the scheduler only determines who moves what when.
+void ExpectMatchesInOrder(const ChurnOutcome& in_order, unsigned gc_threads) {
+  const ChurnOutcome steal = RunScheduledChurn(gc_threads);
+  EXPECT_GT(steal.gc_count, 10u) << "threads=" << gc_threads;
+  EXPECT_EQ(steal.gc_count, in_order.gc_count) << "threads=" << gc_threads;
   const std::string divergence =
-      verify::CompareDigests(steal.digest, stat.digest);
-  EXPECT_TRUE(divergence.empty()) << divergence;
+      verify::CompareDigests(steal.digest, in_order.digest);
+  EXPECT_TRUE(divergence.empty()) << "threads=" << gc_threads << ": "
+                                  << divergence;
+}
+
+// Work stealing executes regions in a host-dependent order, but the final
+// heap image must match the one-thread in-order compaction.
+TEST(CompactionScheduler, WorkStealingHeapMatchesInOrderCompaction) {
+  const ChurnOutcome in_order = RunScheduledChurn(1);
+  for (const unsigned gc_threads : {2u, 8u}) {
+    ExpectMatchesInOrder(in_order, gc_threads);
+  }
 }
 
 // The reported compact cycles for the work-stealing scheduler come from the
 // deterministic list-scheduling replay, so two identical runs must agree to
 // the last bit — on any host, under any thread interleaving.
 TEST(CompactionScheduler, ModeledCyclesAreDeterministicAcrossRuns) {
-  const ChurnOutcome a =
-      RunScheduledChurn(gc::CompactionSchedulerKind::kWorkStealing, 8);
-  const ChurnOutcome b =
-      RunScheduledChurn(gc::CompactionSchedulerKind::kWorkStealing, 8);
+  const ChurnOutcome a = RunScheduledChurn(8);
+  const ChurnOutcome b = RunScheduledChurn(8);
   EXPECT_GT(a.gc_count, 10u);
   EXPECT_EQ(a.gc_count, b.gc_count);
   EXPECT_EQ(a.phase_sum.compact, b.phase_sum.compact);
@@ -269,22 +271,10 @@ TEST(CompactionScheduler, ModeledCyclesAreDeterministicAcrossRuns) {
   EXPECT_EQ(a.pause_total, b.pause_total);
 }
 
-// A gang bigger than the region count and a gang of one both have to drain
-// the dependency graph without deadlock or lost regions.
+// A gang bigger than the heap's region count (16 workers, 12 regions) has to
+// drain the dependency graph without deadlock or lost regions.
 TEST(CompactionScheduler, ExtremeGangSizesDrainTheQueue) {
-  for (const unsigned gc_threads : {1u, 16u}) {
-    const ChurnOutcome steal =
-        RunScheduledChurn(gc::CompactionSchedulerKind::kWorkStealing,
-                          gc_threads);
-    const ChurnOutcome stat =
-        RunScheduledChurn(gc::CompactionSchedulerKind::kStaticBlocks,
-                          gc_threads);
-    EXPECT_GT(steal.gc_count, 10u);
-    const std::string divergence =
-        verify::CompareDigests(steal.digest, stat.digest);
-    EXPECT_TRUE(divergence.empty()) << "threads=" << gc_threads << ": "
-                                    << divergence;
-  }
+  ExpectMatchesInOrder(RunScheduledChurn(1), 16);
 }
 
 }  // namespace

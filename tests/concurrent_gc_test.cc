@@ -18,6 +18,8 @@
 //      cycle records whether driven by Collect() or stepped quantum by
 //      quantum — the refactor is behavior-free.
 //   5. The fleet arbiter consumes the concurrent collector unchanged.
+//   6. The resumable plan walk assigns exactly ComputeForwarding's
+//      forwarding words and new top.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,9 +30,13 @@
 #include <vector>
 
 #include "fleet/fleet_runner.h"
+#include "gc/forwarding.h"
+#include "gc/lisp2.h"
+#include "gc/mark.h"
 #include "gc/parallel_lisp2.h"
 #include "gc/shenandoah_gc.h"
 #include "runtime/heap_snapshot.h"
+#include "support/rng.h"
 #include "tests/schedule_driver.h"
 #include "tests/test_util.h"
 #include "verify/differential_oracle.h"
@@ -370,6 +376,86 @@ TEST(ConcurrentFleet, RunsUnderArbiter) {
   for (unsigned i = 0; i < 4; ++i) {
     EXPECT_EQ(result.tenants[i].heap_digest, again.tenants[i].heap_digest);
   }
+}
+
+// --- 6: the resumable plan walk assigns ComputeForwarding's plan ------------
+
+// Half-rooted heap of small and >= 10-page objects: dead gaps displace moves
+// in every region, and the large objects exercise CALCNEWADD's page
+// alignment and post-alignment fillers. Same seed, same heap.
+void BuildPlanHeap(rt::Jvm& jvm) {
+  Rng rng(57);
+  constexpr unsigned kCount = 400;
+  const auto root = jvm.roots().Add(jvm.New(2, kCount, 0));
+  for (unsigned i = 0; i < kCount; ++i) {
+    const std::uint64_t bytes =
+        rng.NextBelow(8) == 0 ? 10 * sim::kPageSize + 8 * rng.NextBelow(1024)
+                              : 8 * (1 + rng.NextBelow(64));
+    const rt::vaddr_t obj =
+        jvm.New(1, 0, bytes, static_cast<unsigned>(rng.NextBelow(2)));
+    if (rng.NextDouble() < 0.5) {
+      jvm.View(jvm.roots().Get(root)).set_ref(i, obj);
+    }
+  }
+}
+
+// The resumable plan walk must assign exactly ComputeForwarding's plan:
+// stepped until evacuation starts (a small quantum splits the walk across
+// many quanta), every object's forwarding word equals the serial walk's on
+// an identically built heap, and the cycle publishes the serial new top.
+TEST(ConcurrentPlan, PlanWalkMatchesComputeForwarding) {
+  constexpr std::uint64_t kHeapBytes = 32ULL << 20;
+
+  SimBundle want_sim(4);
+  rt::JvmConfig jvm_config;
+  jvm_config.heap.capacity = kHeapBytes;
+  rt::Jvm want_jvm(want_sim.machine, want_sim.phys, want_sim.kernel,
+                   jvm_config);
+  BuildPlanHeap(want_jvm);
+  want_jvm.RetireAllTlabs();
+  gc::SerialLisp2 serial(want_sim.machine, 0);
+  gc::MarkBitmap bitmap(want_jvm.heap());
+  bitmap.Clear();
+  gc::MarkSerial(want_jvm, bitmap, serial.worker_ctx(0), serial.costs());
+  const gc::ForwardingResult want =
+      gc::ComputeForwarding(want_jvm, bitmap, serial.worker_ctx(0),
+                            serial.costs(), gc::kDefaultRegionBytes);
+  ASSERT_GT(want.plan.moved_objects, 0u);
+
+  SimBundle sim(4);
+  rt::Jvm jvm(sim.machine, sim.phys, sim.kernel, jvm_config);
+  core::ConcurrentSvagcCoreConfig config;
+  config.concurrent.quantum_cycles = 20000;
+  auto owned = std::make_unique<core::ConcurrentSvagcCollector>(
+      sim.machine, /*gc_threads=*/2, /*first_core=*/0, config);
+  core::ConcurrentSvagcCollector* collector = owned.get();
+  jvm.set_collector(std::move(owned));
+  jvm.set_gc_barrier(collector);
+  BuildPlanHeap(jvm);
+
+  collector->BeginCycle(jvm);
+  unsigned plan_quanta = 0;
+  while (collector->phase() != gc::ConcPhase::kEvacuate) {
+    ASSERT_TRUE(collector->cycle_active());
+    plan_quanta += collector->phase() == gc::ConcPhase::kPlan;
+    collector->StepPhase();
+  }
+  EXPECT_GT(plan_quanta, 1u);
+  EXPECT_EQ(collector->marked_objects(), want.plan.live_objects);
+  EXPECT_EQ(collector->marked_bytes(), want.plan.live_bytes);
+  std::uint64_t compared = 0;
+  want_jvm.heap().ForEachObject([&](rt::vaddr_t addr, std::uint64_t size) {
+    ASSERT_EQ(jvm.View(addr).size(), size) << "heaps diverge at " << addr;
+    EXPECT_EQ(jvm.View(addr).forwarding(), want_jvm.View(addr).forwarding())
+        << "forwarding word of " << addr;
+    ++compared;
+  });
+  EXPECT_GT(compared, want.plan.live_objects);  // garbage compared too
+
+  collector->FinishCycle();
+  EXPECT_EQ(jvm.heap().top(), want.plan.new_top);
+  const rt::VerifyResult verify = rt::VerifyHeap(jvm);
+  EXPECT_TRUE(verify.ok) << verify.error;
 }
 
 // --- soak: heavier sweep, same invariants (ctest target `concurrent_soak`) ---

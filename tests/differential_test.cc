@@ -31,8 +31,11 @@ verify::OracleConfig MakeConfig(const std::string& workload, HeapShape shape) {
   return config;
 }
 
+// The workload is a std::string, not a const char*: gtest prints a pointer
+// parameter with its address, which would put a per-process value into the
+// test names that ctest records.
 class DifferentialOracleSweep
-    : public ::testing::TestWithParam<std::tuple<const char*, HeapShape>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, HeapShape>> {};
 
 TEST_P(DifferentialOracleSweep, SwapVaAndMemmoveArmsAgree) {
   const auto& [workload, shape] = GetParam();
@@ -55,8 +58,10 @@ TEST_P(DifferentialOracleSweep, SwapVaAndMemmoveArmsAgree) {
 
 INSTANTIATE_TEST_SUITE_P(
     Workloads, DifferentialOracleSweep,
-    ::testing::Combine(::testing::Values("compress", "sparse.large", "bisort",
-                                         "lrucache"),
+    ::testing::Combine(::testing::Values(std::string("compress"),
+                                         std::string("sparse.large"),
+                                         std::string("bisort"),
+                                         std::string("lrucache")),
                        ::testing::Values(HeapShape::kSmallOnly,
                                          HeapShape::kLargeHeavy)),
     [](const ::testing::TestParamInfo<DifferentialOracleSweep::ParamType>&

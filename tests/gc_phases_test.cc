@@ -216,9 +216,6 @@ TEST_F(PhaseTest, RegionDependenciesPointLeft) {
       /*region_bytes=*/64 * sim::kPageSize);
   const CompactionPlan& plan = fwd.plan;
   for (std::uint64_t r = 0; r < plan.region_moves.size(); ++r) {
-    if (plan.region_moves[r].empty()) continue;
-    ASSERT_NE(plan.region_dep[r], kNoDep);
-    EXPECT_LE(plan.region_dep[r], r);
     for (const Move& move : plan.region_moves[r]) {
       EXPECT_EQ((move.src - jvm_->heap().base()) / (64 * sim::kPageSize), r);
       EXPECT_LT(move.dst, move.src);
@@ -243,7 +240,7 @@ TEST_F(PhaseTest, EvacuateAllLivePlansEveryObject) {
 
 // The region-summary pipeline must reproduce the serial plan bit for bit:
 // every forwarding slot, the live list, the per-region move lists, the
-// dependency bounds, the filler spans, and the counters.
+// filler spans, and the counters.
 class ParallelForwarding : public ::testing::TestWithParam<unsigned> {
  protected:
   enum Shape { kSmallOnly, kLargeOnly, kMixed, kHugeMixed };
@@ -321,7 +318,6 @@ class ParallelForwarding : public ::testing::TestWithParam<unsigned> {
     }
     EXPECT_EQ(got.plan.region_bytes, want.plan.region_bytes);
     EXPECT_EQ(got.plan.region_moves, want.plan.region_moves);
-    EXPECT_EQ(got.plan.region_dep, want.plan.region_dep);
     EXPECT_EQ(got.plan.fillers, want.plan.fillers);
     EXPECT_EQ(got.plan.new_top, want.plan.new_top);
     EXPECT_EQ(got.plan.live_objects, want.plan.live_objects);

@@ -168,6 +168,27 @@ TEST(GenerationalRemset, SupersetOracleHoldsEveryMinor) {
   }
 }
 
+// --- front-end-triggered full collections -----------------------------------
+
+// When the front end starts a full collection itself (a minor that cannot
+// tenure its batch, or pressure escalation), the mutators' TLABs must be
+// retired first: the full GC walks the whole heap, and an open TLAB's unused
+// tail has no header. At 1.2x heap and 2 GC threads both workloads reach such
+// a collection with a TLAB open in the old space.
+TEST(GenerationalFullGc, FrontEndTriggeredFullGcSeesParsableHeap) {
+  const std::pair<const char*, unsigned> runs[] = {{"pagerank", 11},
+                                                   {"sparse.large", 40}};
+  for (const auto& [workload, ops] : runs) {
+    RunConfig config = ChurnConfig(workload, TranslationBackend::kRadix, ops);
+    config.heap_factor = 1.2;
+    config.gc_threads = 2;
+    config.generational.enabled = true;
+    config.verify_heap = true;
+    const DigestOutcome out = RunForDigest(config);
+    EXPECT_GT(out.fulls, 0u) << workload;
+  }
+}
+
 // --- age-counter / premature-tenure units -----------------------------------
 
 // Direct rig: a generational collector over a real SVAGC inner, driven by
