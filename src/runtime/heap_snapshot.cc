@@ -52,9 +52,11 @@ void RestoreHeap(Jvm& jvm, const HeapSnapshot& snapshot) {
   sim::AddressSpace& as = jvm.address_space();
   ForEachPageChunk(snapshot.base, snapshot.top,
                    [&](vaddr_t vaddr, std::uint64_t chunk) {
-                     std::memcpy(as.RawPtr(vaddr),
+                     std::byte* dst = as.RawPtr(vaddr);
+                     std::memcpy(dst,
                                  snapshot.bytes.data() + (vaddr - snapshot.base),
                                  chunk);
+                     as.phys().NoteWrite(dst);
                    });
   heap.SetTopAfterGc(snapshot.top);
   jvm.roots().Restore(snapshot.root_slots, snapshot.root_free);

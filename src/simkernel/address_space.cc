@@ -239,7 +239,9 @@ void AddressSpace::CopyBytes(CpuContext& ctx, vaddr_t dst, vaddr_t src,
       const std::uint64_t s_room = kPageSize - (s & (kPageSize - 1));
       const std::uint64_t d_room = kPageSize - (d & (kPageSize - 1));
       chunk = std::min({remaining, s_room, d_room});
-      std::memmove(RawPtr(d), RawPtr(s), chunk);
+      std::byte* to = RawPtr(d);
+      std::memmove(to, RawPtr(s), chunk);
+      phys_.NoteWrite(to);
       phys_.NoteBytesWritten(chunk);
       s += chunk;
       d += chunk;
@@ -250,7 +252,9 @@ void AddressSpace::CopyBytes(CpuContext& ctx, vaddr_t dst, vaddr_t src,
       chunk = std::min({remaining, s_room, d_room});
       s -= chunk;
       d -= chunk;
-      std::memmove(RawPtr(d), RawPtr(s), chunk);
+      std::byte* to = RawPtr(d);
+      std::memmove(to, RawPtr(s), chunk);
+      phys_.NoteWrite(to);
       phys_.NoteBytesWritten(chunk);
     }
     remaining -= chunk;
@@ -276,7 +280,7 @@ void AddressSpace::ZeroBytes(CpuContext& ctx, vaddr_t dst, std::uint64_t bytes) 
   while (remaining > 0) {
     const std::uint64_t room = kPageSize - (d & (kPageSize - 1));
     const std::uint64_t chunk = std::min(remaining, room);
-    std::memset(RawPtr(d), 0, chunk);
+    phys_.ZeroPage(RawPtr(d), chunk);
     phys_.NoteBytesWritten(chunk);
     d += chunk;
     remaining -= chunk;

@@ -62,7 +62,8 @@ class AddressSpace {
   std::byte* HwPtr(CpuContext& ctx, vaddr_t vaddr);
 
   // Uncosted translation for harness-internal work (verifier, tests, object
-  // construction bookkeeping).
+  // construction bookkeeping). A caller that writes nonzero bytes through
+  // RawPtr or HwPtr reports it with phys().NoteWrite (see phys_mem.h).
   std::byte* RawPtr(vaddr_t vaddr) const;
 
   // 8-byte-aligned word access. Word accesses never straddle pages because
@@ -74,7 +75,7 @@ class AddressSpace {
   }
   void WriteWord(vaddr_t vaddr, std::uint64_t value) {
     SVAGC_DCHECK((vaddr & 7) == 0);
-    *reinterpret_cast<std::uint64_t*>(RawPtr(vaddr)) = value;
+    StoreWord(RawPtr(vaddr), value);
   }
 
   // TLB-accounted word access for mutator code paths.
@@ -86,7 +87,7 @@ class AddressSpace {
   void WriteWordHw(CpuContext& ctx, vaddr_t vaddr, std::uint64_t value) {
     SVAGC_DCHECK((vaddr & 7) == 0);
     if (trace_ != nullptr) trace_->OnAccess(vaddr, 8, /*is_write=*/true);
-    *reinterpret_cast<std::uint64_t*>(HwPtr(ctx, vaddr)) = value;
+    StoreWord(HwPtr(ctx, vaddr), value);
   }
 
   // Cache residency assumption for bulk-copy cost. kAuto decides by the
@@ -102,7 +103,8 @@ class AddressSpace {
   void CopyBytes(CpuContext& ctx, vaddr_t dst, vaddr_t src, std::uint64_t bytes,
                  CopyLocality locality = CopyLocality::kAuto);
 
-  // Zeroes a range (allocation-time init); charged as kAlloc.
+  // Zeroes a range (allocation-time init); charged as kAlloc. Frames known
+  // to be zero are not written again (the charge and the byte tally are).
   void ZeroBytes(CpuContext& ctx, vaddr_t dst, std::uint64_t bytes);
 
   // Models a mutator streaming pass over [vaddr, vaddr+bytes): charges
@@ -135,6 +137,11 @@ class AddressSpace {
   void EnsureResident(CpuContext& ctx, vaddr_t vaddr, std::uint64_t bytes);
 
  private:
+  void StoreWord(std::byte* p, std::uint64_t value) {
+    *reinterpret_cast<std::uint64_t*>(p) = value;
+    if (value != 0) phys_.NoteWrite(p);
+  }
+
   Machine& machine_;
   PhysicalMemory& phys_;
   const std::uint64_t asid_;  // before table_: the hashed backend seeds on it

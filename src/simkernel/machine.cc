@@ -16,17 +16,23 @@ Machine::Machine(unsigned num_cores, const CostProfile& profile,
 
 void Machine::FlushLocalTlb(CpuContext& ctx, std::uint64_t asid) {
   ctx.account.Charge(CostKind::kTlbFlushLocal, profile_.tlb_flush_local);
-  metrics_.counter("tlb.local_flushes").Add();
+  HotCounter(ctr_local_flushes_, "tlb.local_flushes").Add();
   tlb(ctx.core_id).FlushAsid(asid);
 }
 
+void Machine::NoteBroadcast(const CpuContext& ctx) {
+  HotCounter(ctr_broadcasts_, "ipi.broadcasts").Add();
+  const unsigned targets = num_cores_ - (ctx.core_id < num_cores_ ? 1 : 0);
+  if (targets == 0) return;  // no remote core: no IPI, no "ipi.sent"
+  ipis_sent_.fetch_add(targets, std::memory_order_relaxed);
+  HotCounter(ctr_ipis_sent_, "ipi.sent").Add(targets);
+}
+
 void Machine::SendTlbShootdown(CpuContext& ctx, std::uint64_t asid) {
-  metrics_.counter("ipi.broadcasts").Add();
+  NoteBroadcast(ctx);
   for (unsigned core = 0; core < num_cores_; ++core) {
     if (core == ctx.core_id) continue;
     ctx.account.Charge(CostKind::kIpi, profile_.ipi_send);
-    ipis_sent_.fetch_add(1, std::memory_order_relaxed);
-    metrics_.counter("ipi.sent").Add();
     // The remote core takes the interrupt and flushes: both the handler cost
     // and the flush itself are stolen from whatever runs on that core.
     disturbance_[core]->fetch_add(
@@ -41,7 +47,7 @@ void Machine::FlushPageAllCores(CpuContext& ctx, std::uint64_t asid,
                                 std::uint64_t vpn) {
   ctx.account.Charge(CostKind::kTlbFlushPage,
                      profile_.tlb_flush_page * num_cores_);
-  metrics_.counter("tlb.page_flushes").Add(num_cores_);
+  HotCounter(ctr_page_flushes_, "tlb.page_flushes").Add(num_cores_);
   for (unsigned core = 0; core < num_cores_; ++core) {
     tlb(core).FlushPage(asid, vpn);
   }
@@ -50,12 +56,10 @@ void Machine::FlushPageAllCores(CpuContext& ctx, std::uint64_t asid,
 void Machine::SendTlbShootdownMulti(CpuContext& ctx,
                                     std::span<const std::uint64_t> asids) {
   if (asids.empty()) return;
-  metrics_.counter("ipi.broadcasts").Add();
+  NoteBroadcast(ctx);
   for (unsigned core = 0; core < num_cores_; ++core) {
     if (core == ctx.core_id) continue;
     ctx.account.Charge(CostKind::kIpi, profile_.ipi_send);
-    ipis_sent_.fetch_add(1, std::memory_order_relaxed);
-    metrics_.counter("ipi.sent").Add();
     // One interrupt, several address spaces: the handler cost amortizes
     // across the batch, the per-asid flushes do not.
     disturbance_[core]->fetch_add(
@@ -65,6 +69,17 @@ void Machine::SendTlbShootdownMulti(CpuContext& ctx,
         std::memory_order_relaxed);
     for (const std::uint64_t asid : asids) tlb(core).FlushAsid(asid);
   }
+}
+
+telemetry::Counter& Machine::HotCounter(
+    std::atomic<telemetry::Counter*>& slot, std::string_view name) {
+  telemetry::Counter* counter = slot.load(std::memory_order_acquire);
+  if (counter == nullptr) {
+    // Racing first uses resolve the same registry entry.
+    counter = &metrics_.counter(name);
+    slot.store(counter, std::memory_order_release);
+  }
+  return *counter;
 }
 
 std::uint64_t Machine::TotalDisturbanceCycles() const {

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "simkernel/cost_model.h"
@@ -134,6 +135,14 @@ class Machine {
   std::uint64_t NextAsid() { return next_asid_.fetch_add(1); }
 
  private:
+  // Counts one broadcast round from `ctx` in "ipi.broadcasts" and its IPIs
+  // (one per other core) in "ipi.sent".
+  void NoteBroadcast(const CpuContext& ctx);
+  // Resolves a hot-path counter once and caches it in `slot`. Resolution
+  // waits for first use so a snapshot names only counters a run touched.
+  telemetry::Counter& HotCounter(std::atomic<telemetry::Counter*>& slot,
+                                 std::string_view name);
+
   const unsigned num_cores_;
   const CostProfile& profile_;
   const TranslationBackend translation_;
@@ -143,6 +152,10 @@ class Machine {
   std::atomic<unsigned> active_streams_{1};
   std::atomic<std::uint64_t> next_asid_{1};
   telemetry::MetricsRegistry metrics_;
+  std::atomic<telemetry::Counter*> ctr_ipis_sent_{nullptr};
+  std::atomic<telemetry::Counter*> ctr_broadcasts_{nullptr};
+  std::atomic<telemetry::Counter*> ctr_local_flushes_{nullptr};
+  std::atomic<telemetry::Counter*> ctr_page_flushes_{nullptr};
   telemetry::TraceRecorder* tracer_ = nullptr;
 };
 

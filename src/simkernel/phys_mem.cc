@@ -1,6 +1,7 @@
 #include "simkernel/phys_mem.h"
 
 #include <algorithm>
+#include <cstring>
 #include <functional>
 
 #include "support/align.h"
@@ -9,7 +10,8 @@ namespace svagc::sim {
 
 PhysicalMemory::PhysicalMemory(std::uint64_t bytes)
     : total_frames_(CeilDiv(bytes, kPageSize)),
-      backing_(new std::byte[total_frames_ << kPageShift]) {
+      backing_(new std::byte[total_frames_ << kPageShift]),
+      known_zero_(new std::atomic<std::uint8_t>[total_frames_]()) {
   SVAGC_CHECK(total_frames_ > 0);
   free_list_.reserve(total_frames_);
   // Push in reverse so the first allocations get the lowest frame numbers;
@@ -22,6 +24,7 @@ frame_t PhysicalMemory::AllocFrame() {
   SVAGC_CHECK(!free_list_.empty());
   const frame_t frame = free_list_.back();
   free_list_.pop_back();
+  known_zero_[frame].store(0, std::memory_order_relaxed);
   return frame;
 }
 
@@ -35,6 +38,7 @@ frame_t PhysicalMemory::AllocContiguous(std::uint64_t count) {
   if (count == 1) {
     const frame_t frame = free_list_.back();
     free_list_.pop_back();
+    known_zero_[frame].store(0, std::memory_order_relaxed);
     return frame;
   }
   const std::size_t n = free_list_.size();
@@ -54,11 +58,32 @@ frame_t PhysicalMemory::AllocContiguous(std::uint64_t count) {
       free_list_.erase(free_list_.begin() + static_cast<std::ptrdiff_t>(j - 1),
                        free_list_.begin() +
                            static_cast<std::ptrdiff_t>(low_idx + 1));
+      for (frame_t f = base; f < base + count; ++f) {
+        known_zero_[f].store(0, std::memory_order_relaxed);
+      }
       return base;
     }
   }
   SVAGC_CHECK(false && "no contiguous run of free frames");
   return kInvalidFrame;
+}
+
+void PhysicalMemory::ZeroPage(std::byte* p, std::uint64_t bytes) {
+  const auto frame = FrameOf(p);
+  SVAGC_CHECK(frame.has_value());
+  SVAGC_DCHECK(((p - FrameData(*frame)) + bytes) <= kPageSize);
+  std::atomic<std::uint8_t>& bit = known_zero_[*frame];
+  if (bit.load(std::memory_order_relaxed) != 0) {
+    SVAGC_DCHECK(std::all_of(p, p + bytes,
+                             [](std::byte b) { return b == std::byte{0}; }));
+    return;
+  }
+  if (bytes == kPageSize) {
+    std::memset(p, 0, kPageSize);  // constant size: inlined as rep stos
+    bit.store(1, std::memory_order_relaxed);
+  } else {
+    std::memset(p, 0, bytes);
+  }
 }
 
 void PhysicalMemory::FreeFrame(frame_t frame) {

@@ -4,12 +4,21 @@
 // the SwapVA path swaps only PTEs, after which virtual addresses resolve to
 // different frames — the data genuinely moves without being copied, exactly
 // the zero-copy property the paper exploits.
+//
+// Host-time shortcut: each frame carries a "known zero" bit. ZeroPage sets
+// it after clearing a whole frame and skips the memset while it is set;
+// every other way a frame's bytes can change clears it (AllocFrame and
+// AllocContiguous hand out frames whose bytes the caller overwrites;
+// writers through FrameData pointers report with NoteWrite). Because
+// SwapVA moves frames, not bytes, the bit travels with the frame. The bit
+// changes host work only, never a modeled charge or byte tally.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "simkernel/config.h"
@@ -45,6 +54,26 @@ class PhysicalMemory {
     return backing_.get() + (frame << kPageShift);
   }
 
+  // Zeroes [p, p + bytes), which must lie inside one frame, unless the
+  // frame is known zero. A whole-frame clear makes the frame known zero.
+  void ZeroPage(std::byte* p, std::uint64_t bytes);
+
+  // Reports a write that may have left nonzero bytes at `p`; the frame
+  // stops being known zero. Pointers outside the backing are ignored: a
+  // far-tier slot gets a fresh frame (bit clear) when it is swapped in.
+  void NoteWrite(const std::byte* p) {
+    if (const auto frame = FrameOf(p)) {
+      std::atomic<std::uint8_t>& bit = known_zero_[*frame];
+      if (bit.load(std::memory_order_relaxed) != 0) {
+        bit.store(0, std::memory_order_relaxed);
+      }
+    }
+  }
+  bool known_zero(frame_t frame) const {
+    SVAGC_DCHECK(frame < total_frames_);
+    return known_zero_[frame].load(std::memory_order_relaxed) != 0;
+  }
+
   std::uint64_t total_frames() const { return total_frames_; }
   std::uint64_t free_frames() const;
 
@@ -60,8 +89,20 @@ class PhysicalMemory {
   }
 
  private:
+  // The frame whose bytes hold `p`; nullopt for a pointer outside the
+  // backing (a far-tier slot, say).
+  std::optional<frame_t> FrameOf(const std::byte* p) const {
+    const auto offset = reinterpret_cast<std::uintptr_t>(p) -
+                        reinterpret_cast<std::uintptr_t>(backing_.get());
+    if (offset >= (total_frames_ << kPageShift)) return std::nullopt;
+    return offset >> kPageShift;
+  }
+
   std::uint64_t total_frames_;
   std::unique_ptr<std::byte[]> backing_;
+  // Relaxed atomics: GC workers write disjoint frames concurrently, and a
+  // frame changing owner is ordered by the phase joins that hand it over.
+  std::unique_ptr<std::atomic<std::uint8_t>[]> known_zero_;
 
   mutable SpinLock lock_;
   std::vector<frame_t> free_list_;

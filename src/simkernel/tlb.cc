@@ -1,5 +1,7 @@
 #include "simkernel/tlb.h"
 
+#include <algorithm>
+
 namespace svagc::sim {
 
 Tlb::Tlb(unsigned entries, unsigned ways)
@@ -28,8 +30,13 @@ Tlb::LookupResult Tlb::LookupTagged(std::uint64_t asid, std::uint64_t vpn,
 
 Tlb::LookupResult Tlb::Lookup(std::uint64_t asid, std::uint64_t vpn) {
   SpinLockGuard guard(lock_);
-  LookupResult result = LookupTagged(asid, vpn, /*huge=*/false);
-  if (!result.hit) result = LookupTagged(asid, vpn, /*huge=*/true);
+  LookupResult result;
+  if (LiveLocked(asid) != 0) {
+    result = LookupTagged(asid, vpn, /*huge=*/false);
+    if (!result.hit && live_huge_ != 0) {
+      result = LookupTagged(asid, vpn, /*huge=*/true);
+    }
+  }
   if (result.hit) {
     ++hits_;
   } else {
@@ -58,6 +65,11 @@ void Tlb::InsertTagged(std::uint64_t asid, std::uint64_t vpn, frame_t frame,
       victim = &entry;
     }
   }
+  if (victim->valid) Invalidate(*victim);
+  const std::size_t slot = OccupancySlot(asid);
+  if (slot >= live_.size()) live_.resize(slot + 1, 0);
+  ++live_[slot];
+  if (huge) ++live_huge_;
   *victim = Entry{true, huge, asid, vpn, frame, ++clock_};
 }
 
@@ -76,21 +88,28 @@ void Tlb::InsertHuge(std::uint64_t asid, std::uint64_t vpn,
 void Tlb::FlushAsid(std::uint64_t asid) {
   SpinLockGuard guard(lock_);
   ++flushes_;
-  for (Entry& entry : entries_) {
-    if (entry.valid && entry.asid == asid) entry.valid = false;
+  // Stops once every counted entry is gone; an ASID with none scans nothing.
+  std::uint32_t left = LiveLocked(asid);
+  for (auto it = entries_.begin(); left != 0 && it != entries_.end(); ++it) {
+    if (it->valid && it->asid == asid) {
+      Invalidate(*it);
+      --left;
+    }
   }
 }
 
 void Tlb::FlushPage(std::uint64_t asid, std::uint64_t vpn) {
   SpinLockGuard guard(lock_);
+  if (LiveLocked(asid) == 0) return;
   Entry* set = &entries_[SetIndex(asid, vpn) * ways_];
   for (unsigned w = 0; w < ways_; ++w) {
     Entry& entry = set[w];
     if (entry.valid && !entry.huge && entry.asid == asid && entry.vpn == vpn) {
-      entry.valid = false;
+      Invalidate(entry);
       break;
     }
   }
+  if (live_huge_ == 0) return;
   // invlpg semantics: a 4 KiB-granular invalidation inside a huge-mapped
   // unit must drop the whole huge entry.
   const std::uint64_t unit_vpn = vpn & ~kIndexMask;
@@ -99,7 +118,7 @@ void Tlb::FlushPage(std::uint64_t asid, std::uint64_t vpn) {
     Entry& entry = huge_set[w];
     if (entry.valid && entry.huge && entry.asid == asid &&
         entry.vpn == unit_vpn) {
-      entry.valid = false;
+      Invalidate(entry);
       break;
     }
   }
@@ -120,6 +139,18 @@ void Tlb::FlushAll() {
   SpinLockGuard guard(lock_);
   ++flushes_;
   for (Entry& entry : entries_) entry.valid = false;
+  std::fill(live_.begin(), live_.end(), 0);
+  live_huge_ = 0;
+}
+
+std::uint64_t Tlb::LiveEntries(std::uint64_t asid) {
+  SpinLockGuard guard(lock_);
+  return LiveLocked(asid);
+}
+
+std::uint64_t Tlb::LiveHugeEntries() {
+  SpinLockGuard guard(lock_);
+  return live_huge_;
 }
 
 }  // namespace svagc::sim

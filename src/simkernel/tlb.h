@@ -11,6 +11,13 @@
 // vpn maps kPagesPerHuge pages (the dTLB-reach benefit of PMD leaves).
 // FlushPage of any 4 KiB vpn inside a huge-mapped unit invalidates the huge
 // entry — the shootdown granularity a real invlpg provides.
+//
+// Host-time shortcut: each Tlb counts its live entries per ASID and its live
+// huge entries. A flush of an ASID with no entry returns at once instead of
+// scanning the array, a lookup for such an ASID misses without a probe, and
+// the huge-tag probe is skipped while no huge entry exists. The outcome of
+// every call (hit, frame, LRU stamps, the hit/miss/flush tallies) is what
+// the full scan gives; the counts only decide how much host work finds it.
 #pragma once
 
 #include <cstdint>
@@ -62,6 +69,12 @@ class Tlb {
   // accounting, no LRU update.
   std::vector<TlbSnapshotEntry> SnapshotValidEntries();
 
+  // Occupancy counts behind the host-time shortcut. ASIDs at or above
+  // kDenseAsids share one count (an upper bound for each of them).
+  static constexpr std::uint64_t kDenseAsids = 4096;
+  std::uint64_t LiveEntries(std::uint64_t asid);
+  std::uint64_t LiveHugeEntries();
+
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
   std::uint64_t flushes() const { return flushes_; }
@@ -91,10 +104,27 @@ class Tlb {
   void InsertTagged(std::uint64_t asid, std::uint64_t vpn, frame_t frame,
                     bool huge);
 
+  // Index into live_: dense ASIDs by value, the rest in slot 0.
+  static std::size_t OccupancySlot(std::uint64_t asid) {
+    return asid < kDenseAsids ? static_cast<std::size_t>(asid) + 1 : 0;
+  }
+  std::uint32_t LiveLocked(std::uint64_t asid) const {
+    const std::size_t slot = OccupancySlot(asid);
+    return slot < live_.size() ? live_[slot] : 0;
+  }
+  // Invalidates a valid entry and drops it from the counts.
+  void Invalidate(Entry& entry) {
+    entry.valid = false;
+    --live_[OccupancySlot(entry.asid)];
+    if (entry.huge) --live_huge_;
+  }
+
   unsigned sets_;
   unsigned ways_;
   std::vector<Entry> entries_;  // sets_ x ways_, row-major
   std::uint64_t clock_ = 0;
+  std::vector<std::uint32_t> live_;  // per OccupancySlot; grows on insert
+  std::uint32_t live_huge_ = 0;
 
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

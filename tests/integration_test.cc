@@ -9,6 +9,7 @@
 
 #include <map>
 
+#include "core/concurrent_svagc_collector.h"
 #include "gc/lisp2.h"
 #include "gc/parallel_gc.h"
 #include "gc/shenandoah_gc.h"
@@ -29,7 +30,8 @@ std::uint64_t RunAndHash(const std::string& workload_name, CollectorKind kind) {
   const auto workload = MakeWorkload(workload_name);
   const bool aligned = kind == CollectorKind::kSvagc ||
                        kind == CollectorKind::kSvagcNoSwap ||
-                       kind == CollectorKind::kSvagcNaiveTlb;
+                       kind == CollectorKind::kSvagcNaiveTlb ||
+                       kind == CollectorKind::kConcurrentSvagc;
   rt::JvmConfig config;
   config.heap.capacity = AlignUp(
       static_cast<std::uint64_t>(workload->info().min_heap_bytes * 1.2),
@@ -54,6 +56,14 @@ std::uint64_t RunAndHash(const std::string& workload_name, CollectorKind kind) {
       c.pinned_compaction = false;
       jvm.set_collector(
           std::make_unique<core::SvagcCollector>(sim.machine, 8, 0, c));
+      break;
+    }
+    case CollectorKind::kConcurrentSvagc: {
+      // As MakeCollector builds it: swap syscalls charged per move.
+      core::ConcurrentSvagcCoreConfig c;
+      c.move.aggregate = false;
+      jvm.set_collector(std::make_unique<core::ConcurrentSvagcCollector>(
+          sim.machine, 8, 0, c));
       break;
     }
     case CollectorKind::kParallelGc:
@@ -84,7 +94,7 @@ TEST_P(CrossCollectorEquivalence, IdenticalFinalStateUnderEveryCollector) {
   for (const CollectorKind kind :
        {CollectorKind::kParallelGc, CollectorKind::kShenandoah,
         CollectorKind::kSvagc, CollectorKind::kSvagcNoSwap,
-        CollectorKind::kSvagcNaiveTlb}) {
+        CollectorKind::kSvagcNaiveTlb, CollectorKind::kConcurrentSvagc}) {
     EXPECT_EQ(RunAndHash(workload, kind), reference)
         << workload << " under " << CollectorKindName(kind);
   }

@@ -189,6 +189,62 @@ TEST(Tlb, InsertRefreshesDuplicate) {
   EXPECT_EQ(tlb.Lookup(1, 5).frame, 20u);
 }
 
+// The per-ASID and huge-entry counts behind the flush/lookup shortcuts must
+// track the array exactly through replacement, every flush kind and huge
+// entries, and the shortcuts must not change what a lookup returns. The
+// TLB is small so inserts keep evicting; two ASIDs lie beyond the dense
+// range and share one count.
+TEST(TlbOccupancy, CountsMatchBruteForceOverRandomOps) {
+  Tlb tlb(/*entries=*/64, /*ways=*/4);
+  const std::uint64_t asids[] = {1, 2, 3, 7, Tlb::kDenseAsids + 5,
+                                 (1ULL << 63) | 1};
+  const auto sparse = [](std::uint64_t asid) {
+    return asid >= Tlb::kDenseAsids;
+  };
+  Rng rng(14);
+  for (int step = 0; step < 20000; ++step) {
+    const std::uint64_t asid = asids[rng.NextBelow(std::size(asids))];
+    // 32 pages in each of 4 huge units: small enough that flushes and
+    // lookups often find an entry.
+    const std::uint64_t vpn =
+        rng.NextBelow(4) * kPagesPerHuge + rng.NextBelow(32);
+    const std::uint64_t op = rng.NextBelow(100);
+    if (op < 55) {
+      tlb.Insert(asid, vpn, vpn + 1000);
+    } else if (op < 65) {
+      tlb.InsertHuge(asid, vpn & ~kIndexMask, (vpn & ~kIndexMask) + 5000);
+    } else if (op < 85) {
+      tlb.FlushPage(asid, vpn);
+    } else if (op < 97) {
+      tlb.FlushAsid(asid);
+    } else if (op < 98) {
+      tlb.FlushAll();
+    } else {
+      // Lookup against the snapshot taken just before it.
+      bool expect_hit = false;
+      for (const TlbSnapshotEntry& e : tlb.SnapshotValidEntries()) {
+        expect_hit |= e.asid == asid &&
+                      (e.huge ? e.vpn == (vpn & ~kIndexMask) : e.vpn == vpn);
+      }
+      ASSERT_EQ(tlb.Lookup(asid, vpn).hit, expect_hit) << "step " << step;
+    }
+
+    const std::vector<TlbSnapshotEntry> snapshot = tlb.SnapshotValidEntries();
+    std::uint64_t huge = 0;
+    for (const TlbSnapshotEntry& e : snapshot) huge += e.huge ? 1 : 0;
+    ASSERT_EQ(tlb.LiveHugeEntries(), huge) << "step " << step;
+    for (const std::uint64_t a : asids) {
+      std::uint64_t live = 0;
+      for (const TlbSnapshotEntry& e : snapshot) {
+        live += (sparse(a) ? sparse(e.asid) : e.asid == a) ? 1 : 0;
+      }
+      ASSERT_EQ(tlb.LiveEntries(a), live) << "asid " << a << " step " << step;
+    }
+  }
+  EXPECT_GT(tlb.hits(), 0u);
+  EXPECT_GT(tlb.misses(), 0u);
+}
+
 // --- machine ----------------------------------------------------------------
 
 TEST(Machine, ShootdownChargesSenderAndDisturbsOthers) {
