@@ -17,7 +17,7 @@ EvacuationResult MinorEvacuator::Evacuate(
         size >= config_.threshold_pages * sim::kPageSize;
     const rt::vaddr_t dst = large ? AlignUp(top, sim::kPageSize) : top;
     SVAGC_DCHECK(dst >= top);
-    mover_.Move(ctx, src, dst, size);
+    mover_.Move(ctx, gc::Move{src, dst, size, large});
     if (mode == EvacuationMode::kConcurrentSolo) {
       // Concurrent relocation: each object's move is independent and must
       // be visible before the next — no batching survives the object.

@@ -5,8 +5,8 @@
 
 namespace svagc::core {
 
-void ObjectMover::Move(sim::CpuContext& ctx, rt::vaddr_t src, rt::vaddr_t dst,
-                       std::uint64_t size) {
+void ObjectMover::MoveSingle(sim::CpuContext& ctx, rt::vaddr_t src,
+                             rt::vaddr_t dst, std::uint64_t size) {
   const std::uint64_t pages = CeilDiv(size, sim::kPageSize);
   // The byte-based threshold must match IFSWAPALIGN's (Algorithm 3 line 8):
   // only objects the *allocator* classified as large carry the page-extent
@@ -157,6 +157,19 @@ void ObjectMover::CompleteByCopy(sim::CpuContext& ctx,
                                  sim::AddressSpace::CopyLocality::kCold);
   stats_.bytes_copied += bytes;
   stats_.objects_copied += objects;
+}
+
+void PublishMoveStats(const MoveObjectStats& total, std::uint64_t pin_refusals,
+                      rt::GcLog& log, telemetry::MetricsRegistry& metrics) {
+  log.bytes_copied.store(total.bytes_copied, std::memory_order_relaxed);
+  log.bytes_swapped.store(total.bytes_swapped, std::memory_order_relaxed);
+  log.swap_calls.store(total.swap_calls_issued, std::memory_order_relaxed);
+  metrics.counter("gc.objects_swapped").Store(total.objects_swapped);
+  metrics.counter("gc.objects_copied").Store(total.objects_copied);
+  metrics.counter("gc.swap_faults_recovered")
+      .Store(total.swap_faults_recovered);
+  metrics.counter("gc.pin_losses_recovered").Store(total.pin_losses_recovered);
+  metrics.counter("gc.pin_refusals").Store(pin_refusals);
 }
 
 }  // namespace svagc::core

@@ -5,9 +5,11 @@
 #include <cstdint>
 #include <vector>
 
+#include "gc/collector.h"
 #include "runtime/jvm.h"
 #include "simkernel/swapva.h"
 #include "support/align.h"
+#include "telemetry/metrics.h"
 
 namespace svagc::core {
 
@@ -60,21 +62,15 @@ class ObjectMover {
     swap_options_.tlb_policy = config.tlb_policy;
   }
 
-  // MOVEOBJECT(source, dest, length): SwapVA when the object spans at least
-  // Threshold_Swapping pages and both addresses are page-aligned; memmove
-  // otherwise.
-  void Move(sim::CpuContext& ctx, rt::vaddr_t src, rt::vaddr_t dst,
-            std::uint64_t size);
-
-  // Moves a plan-optimizer coalesced run: `objects` whole live objects
-  // sliding rigidly from [src, src+size) to [dst, dst+size). When the slide
-  // is a page multiple and the run's page-interior clears the cycle's swap
-  // threshold, the ragged head and tail are memmoved and the interior pages
-  // are swapped — exclusivity holds because every interior page is covered
-  // entirely by the run's own bytes, unlike a lone small object. Otherwise
-  // the whole run is one memmove (still one dispatch for `objects` objects).
-  void MoveRun(sim::CpuContext& ctx, rt::vaddr_t src, rt::vaddr_t dst,
-               std::uint64_t size, std::uint32_t objects);
+  // MOVEOBJECT for one planned move: a plan-optimizer coalesced run
+  // (move.run) or a single object.
+  void Move(sim::CpuContext& ctx, const gc::Move& move) {
+    if (move.run) {
+      MoveRun(ctx, move.src, move.dst, move.size, move.objects);
+    } else {
+      MoveSingle(ctx, move.src, move.dst, move.size);
+    }
+  }
 
   void Flush(sim::CpuContext& ctx);
 
@@ -105,6 +101,22 @@ class ObjectMover {
   const MoveObjectStats& stats() const { return stats_; }
 
  private:
+  // MOVEOBJECT(source, dest, length): SwapVA when the object spans at least
+  // Threshold_Swapping pages and both addresses are page-aligned; memmove
+  // otherwise.
+  void MoveSingle(sim::CpuContext& ctx, rt::vaddr_t src, rt::vaddr_t dst,
+                  std::uint64_t size);
+
+  // Moves a plan-optimizer coalesced run: `objects` whole live objects
+  // sliding rigidly from [src, src+size) to [dst, dst+size). When the slide
+  // is a page multiple and the run's page-interior clears the cycle's swap
+  // threshold, the ragged head and tail are memmoved and the interior pages
+  // are swapped — exclusivity holds because every interior page is covered
+  // entirely by the run's own bytes, unlike a lone small object. Otherwise
+  // the whole run is one memmove (still one dispatch for `objects` objects).
+  void MoveRun(sim::CpuContext& ctx, rt::vaddr_t src, rt::vaddr_t dst,
+               std::uint64_t size, std::uint32_t objects);
+
   // Re-pin after a kNotPinned and restore the Algorithm 4 precondition with
   // one process-wide flush. Returns false if the pin itself was refused.
   bool TryRepin(sim::CpuContext& ctx);
@@ -138,5 +150,11 @@ class ObjectMover {
   std::uint64_t cycle_threshold_pages_ = 0;  // 0 = use config_.threshold_pages
   MoveObjectStats stats_;
 };
+
+// Publishes an SVAGC collector's cumulative mover totals: the log's byte and
+// swap-call totals (PublishCycleTelemetry re-Stores them as gc.* counters)
+// and the mover breakdown counters, which only exist here.
+void PublishMoveStats(const MoveObjectStats& total, std::uint64_t pin_refusals,
+                      rt::GcLog& log, telemetry::MetricsRegistry& metrics);
 
 }  // namespace svagc::core

@@ -6,7 +6,7 @@ namespace svagc::core {
 
 SvagcCollector::SvagcCollector(sim::Machine& machine, unsigned gc_threads,
                                unsigned first_core, const SvagcConfig& config)
-    : gc::ParallelLisp2(machine, gc_threads, first_core, config.region_bytes),
+    : gc::ParallelLisp2(machine, gc_threads, first_core),
       config_(config) {
   if (!config_.pinned_compaction) {
     // Without pinning, correctness requires a global shootdown per call.
@@ -67,12 +67,7 @@ void SvagcCollector::MoveObject(rt::Jvm& jvm, sim::CpuContext& ctx,
   // The scheduler hands us the gang worker id, so mover lookup is O(1) on
   // this hottest per-object path (it used to scan every worker context).
   ctx.account.Charge(sim::CostKind::kCompute, costs().move_dispatch);
-  ObjectMover& mover = MoverFor(jvm, worker);
-  if (move.run) {
-    mover.MoveRun(ctx, move.src, move.dst, move.size, move.objects);
-  } else {
-    mover.Move(ctx, move.src, move.dst, move.size);
-  }
+  MoverFor(jvm, worker).Move(ctx, move);
   log_.objects_moved += move.objects;
 }
 
@@ -140,19 +135,8 @@ void SvagcCollector::CompactionEpilogue(rt::Jvm& jvm, sim::CpuContext& ctx) {
     }
     pinned_this_cycle_ = false;
   }
-  // Publish aggregated move statistics on the collector log and the metrics
-  // registry (PublishCycleTelemetry re-Stores the log totals; the mover
-  // breakdown below only exists here).
   const MoveObjectStats total = AggregateMoveStats();
-  log_.bytes_copied.store(total.bytes_copied, std::memory_order_relaxed);
-  log_.bytes_swapped.store(total.bytes_swapped, std::memory_order_relaxed);
-  log_.swap_calls.store(total.swap_calls_issued, std::memory_order_relaxed);
-  telemetry::MetricsRegistry& reg = metrics();
-  reg.counter("gc.objects_swapped").Store(total.objects_swapped);
-  reg.counter("gc.objects_copied").Store(total.objects_copied);
-  reg.counter("gc.swap_faults_recovered").Store(total.swap_faults_recovered);
-  reg.counter("gc.pin_losses_recovered").Store(total.pin_losses_recovered);
-  reg.counter("gc.pin_refusals").Store(pin_refusals_);
+  PublishMoveStats(total, pin_refusals_, log_, metrics());
   // Feed the adaptive threshold: what this cycle actually moved decides
   // whether next cycle's copy alternative prices at the cached or DRAM rate.
   const std::uint64_t moved_total = total.bytes_copied + total.bytes_swapped;
@@ -170,7 +154,7 @@ void SvagcCollector::CompactionEpilogue(rt::Jvm& jvm, sim::CpuContext& ctx) {
     if (bytes > 0) {
       const std::uint64_t demoted = jvm.kernel().SysMadviseCold(
           jvm.address_space(), ctx, jvm.heap().base(), bytes);
-      reg.counter("gc.advised_cold_pages").Add(demoted);
+      metrics().counter("gc.advised_cold_pages").Add(demoted);
     }
   }
 }

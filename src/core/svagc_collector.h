@@ -36,7 +36,6 @@ struct SvagcConfig {
   // kLocalOnly  = Algorithm 4 (pin + one up-front shootdown, local flushes)
   // kGlobalPerCall = naive shootdown after every swap call
   bool pinned_compaction = true;
-  std::uint64_t region_bytes = gc::kDefaultRegionBytes;
   // With a far tier attached, the compaction epilogue advises the kernel
   // that the plan's dense prefix is cold (SysMadviseCold): compaction never
   // moves those objects again, so they are the cheapest pages to demote —

@@ -1,6 +1,39 @@
 #include "gc/forwarding.h"
 
+#include <algorithm>
+
 namespace svagc::gc {
+
+bool ForwardMarked(const rt::Heap& heap, sim::AddressSpace& as,
+                   const MarkBitmap& bitmap, rt::vaddr_t end,
+                   bool evacuate_all_live, sim::CpuContext& ctx,
+                   const GcCosts& costs, const CalcNewAddSink& sink,
+                   ForwardingWalk& walk, double budget) {
+  const double start = ctx.account.total();
+  for (rt::vaddr_t addr = bitmap.NextMarked(walk.scan, end); addr < end;
+       addr = bitmap.NextMarked(walk.scan, end)) {
+    const std::uint64_t size = rt::ObjectView(as, addr).size();
+    const rt::vaddr_t next = addr + size;
+    const std::uint64_t scanned = std::min(next, end) - walk.scan;
+    ctx.account.Charge(sim::CostKind::kCompute,
+                       costs.heap_scan_per_byte * static_cast<double>(scanned));
+    ctx.account.Charge(sim::CostKind::kCompute, costs.forward_obj);
+    CalcNewAdd(heap, as, addr, size, evacuate_all_live, walk.comp_pnt, sink);
+    ++walk.live_objects;
+    walk.live_bytes += size;
+    walk.scan = next;
+    if (ctx.account.total() - start >= budget) return false;
+  }
+  // Trailing bytes: garbage and fillers after the last marked object (none
+  // when that object straddles `end`; the next range charges its overhang).
+  if (walk.scan < end) {
+    ctx.account.Charge(sim::CostKind::kCompute,
+                       costs.heap_scan_per_byte *
+                           static_cast<double>(end - walk.scan));
+    walk.scan = end;
+  }
+  return true;
+}
 
 ForwardingResult ComputeForwarding(rt::Jvm& jvm, const MarkBitmap& bitmap,
                                    sim::CpuContext& ctx, const GcCosts& costs,
@@ -8,27 +41,18 @@ ForwardingResult ComputeForwarding(rt::Jvm& jvm, const MarkBitmap& bitmap,
                                    bool evacuate_all_live) {
   ForwardingResult result;
   rt::Heap& heap = jvm.heap();
-  sim::AddressSpace& as = jvm.address_space();
   CompactionPlan& plan = result.plan;
   plan.region_bytes = region_bytes;
   plan.region_moves.resize(CeilDiv(heap.capacity(), region_bytes));
-
-  // Linear sweep over the whole used heap (phase II touches every header).
-  ctx.account.Charge(sim::CostKind::kCompute,
-                     costs.heap_scan_per_byte * static_cast<double>(heap.used()));
-
-  rt::vaddr_t comp_pnt = heap.base();
-  heap.ForEachObject([&](rt::vaddr_t addr, std::uint64_t size) {
-    if (!bitmap.IsMarked(addr)) return;  // garbage: skipped, space reclaimed
-    ctx.account.Charge(sim::CostKind::kCompute, costs.forward_obj);
-    const std::uint64_t region = (addr - heap.base()) / region_bytes;
-    CalcNewAdd(heap, as, addr, size, evacuate_all_live, comp_pnt,
-               {plan.fillers, plan.region_moves[region], plan.moved_objects,
-                &result.live});
-    ++plan.live_objects;
-    plan.live_bytes += size;
-  });
-  plan.new_top = comp_pnt;
+  ForwardingWalk walk{heap.base(), heap.base()};
+  ForwardMarked(heap, jvm.address_space(), bitmap, heap.top(),
+                evacuate_all_live, ctx, costs,
+                {plan.fillers, plan.region_moves, region_bytes,
+                 plan.moved_objects, &result.live},
+                walk);
+  plan.live_objects = walk.live_objects;
+  plan.live_bytes = walk.live_bytes;
+  plan.new_top = walk.comp_pnt;
   return result;
 }
 
@@ -168,9 +192,9 @@ ForwardingResult ComputeForwardingParallel(rt::Jvm& jvm,
     plan.new_top = entry;
   });
 
-  // Step 3: parallel install — every region runs CalcNewAdd from its
-  // precomputed base, writing forwarding slots and emitting its own live,
-  // filler and move lists. Same strided assignment as step 1.
+  // Step 3: parallel install — every region runs the forwarding walk from
+  // its precomputed base, writing forwarding slots and emitting its own
+  // live, filler and move lists. Same strided assignment as step 1.
   std::vector<std::vector<rt::vaddr_t>> live_by_region(used_regions);
   std::vector<std::vector<std::pair<rt::vaddr_t, std::uint64_t>>>
       fillers_by_region(used_regions);
@@ -178,22 +202,15 @@ ForwardingResult ComputeForwardingParallel(rt::Jvm& jvm,
   cp += collector.RunParallelPhase([&](unsigned worker,
                                        sim::CpuContext& ctx) {
     for (std::uint64_t r = worker; r < used_regions; r += stride) {
-      const rt::vaddr_t lo = region_begin(r);
-      const rt::vaddr_t hi = region_end(r);
-      ctx.account.Charge(sim::CostKind::kCompute,
-                         costs.heap_scan_per_byte *
-                             static_cast<double>(hi - lo));
-      rt::vaddr_t comp_pnt = entries[r];
-      const CalcNewAddSink sink{fillers_by_region[r], plan.region_moves[r],
-                                moved_by_region[r], &live_by_region[r]};
-      bitmap.ForEachMarkedInRange(lo, hi, [&](rt::vaddr_t addr) {
-        ctx.account.Charge(sim::CostKind::kCompute, costs.forward_obj);
-        const std::uint64_t size = rt::ObjectView(as, addr).size();
-        CalcNewAdd(heap, as, addr, size, evacuate_all_live, comp_pnt, sink);
-      });
+      ForwardingWalk walk{region_begin(r), entries[r]};
+      ForwardMarked(heap, as, bitmap, region_end(r), evacuate_all_live, ctx,
+                    costs,
+                    {fillers_by_region[r], plan.region_moves, region_bytes,
+                     moved_by_region[r], &live_by_region[r]},
+                    walk);
       // The replayed layout must land exactly on the next region's entry —
       // the prefix scan and the install pass agree or the plan is corrupt.
-      SVAGC_DCHECK(comp_pnt == entries[r + 1]);
+      SVAGC_DCHECK(walk.comp_pnt == entries[r + 1]);
     }
   });
 

@@ -36,32 +36,38 @@ class MarkBitmap {
             (index & 63)) & 1;
   }
 
+  // The first marked word address in [from, end), or `end` when there is
+  // none — the resumable form of ForEachMarkedInRange that the forwarding
+  // walk steps with. `from` may lie past `end` (an object straddling it).
+  rt::vaddr_t NextMarked(rt::vaddr_t from, rt::vaddr_t end) const {
+    SVAGC_DCHECK(from >= heap_.base() && ((from | end) & 7) == 0);
+    const rt::vaddr_t base = heap_.base();
+    std::uint64_t index = (from - base) >> 3;
+    const std::uint64_t index_end = (end - base) >> 3;
+    while (index < index_end) {
+      const std::uint64_t word =
+          bits_[index >> 6].load(std::memory_order_relaxed) &
+          (~0ULL << (index & 63));
+      const std::uint64_t word_base = index & ~63ULL;
+      if (word != 0) {
+        const std::uint64_t found =
+            word_base + static_cast<unsigned>(std::countr_zero(word));
+        return found < index_end ? base + (found << 3) : end;
+      }
+      index = word_base + 64;
+    }
+    return end;
+  }
+
   // Invokes f(addr) for every marked word address in [begin, end), ascending.
   // Marking sets bits only at object start addresses, so this enumerates the
   // live objects whose headers lie in the range — the per-region iteration
   // primitive of the parallel forwarding summary. `end` may equal heap end.
   template <typename F>
   void ForEachMarkedInRange(rt::vaddr_t begin, rt::vaddr_t end, F&& f) const {
-    SVAGC_DCHECK(begin >= heap_.base() && end >= begin &&
-                 ((begin | end) & 7) == 0);
-    const rt::vaddr_t base = heap_.base();
-    std::uint64_t index = (begin - base) >> 3;
-    const std::uint64_t index_end = (end - base) >> 3;
-    while (index < index_end) {
-      std::uint64_t word = bits_[index >> 6].load(std::memory_order_relaxed);
-      // Mask off bits below the range start within the first word...
-      word &= ~0ULL << (index & 63);
-      // ...and at/above the range end within the last word.
-      const std::uint64_t word_base = index & ~63ULL;
-      if (index_end - word_base < 64) {
-        word &= (1ULL << (index_end - word_base)) - 1;
-      }
-      while (word != 0) {
-        const unsigned bit = static_cast<unsigned>(std::countr_zero(word));
-        f(base + ((word_base + bit) << 3));
-        word &= word - 1;
-      }
-      index = word_base + 64;
+    for (rt::vaddr_t addr = NextMarked(begin, end); addr < end;
+         addr = NextMarked(addr + 8, end)) {
+      f(addr);
     }
   }
 

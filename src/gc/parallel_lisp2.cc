@@ -142,11 +142,11 @@ void ParallelLisp2::StepForward() {
   rt::Jvm& jvm = *c.jvm;
   BeginPhaseCapture();
   if (gc_threads() > 1) {
-    c.fwd = ComputeForwardingParallel(jvm, c.bitmap, *this, region_bytes_,
+    c.fwd = ComputeForwardingParallel(jvm, c.bitmap, *this, kDefaultRegionBytes,
                                       EvacuateAllLive(), &c.rec.forward);
   } else {
     c.rec.forward = RunSerialPhase([&](sim::CpuContext& ctx) {
-      c.fwd = ComputeForwarding(jvm, c.bitmap, ctx, costs(), region_bytes_,
+      c.fwd = ComputeForwarding(jvm, c.bitmap, ctx, costs(), kDefaultRegionBytes,
                                 EvacuateAllLive());
     });
   }

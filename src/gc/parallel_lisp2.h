@@ -61,9 +61,8 @@ inline const char* GcPhaseName(GcPhase phase) {
 class ParallelLisp2 : public CollectorBase, public PhaseEngine {
  public:
   ParallelLisp2(sim::Machine& machine, unsigned gc_threads,
-                unsigned first_core, std::uint64_t region_bytes = kDefaultRegionBytes)
-      : CollectorBase(machine, gc_threads, first_core),
-        region_bytes_(region_bytes) {}
+                unsigned first_core)
+      : CollectorBase(machine, gc_threads, first_core) {}
 
   const char* name() const override { return "ParallelLISP2"; }
 
@@ -142,8 +141,6 @@ class ParallelLisp2 : public CollectorBase, public PhaseEngine {
   // which pays for all live bytes each cycle, not just the displaced ones.
   // Sliding compactors return false.
   virtual bool EvacuateAllLive() const { return false; }
-
-  std::uint64_t region_bytes_;
 
  private:
   // In-flight cycle state for the stepwise API. Owned between BeginCycle and

@@ -8,11 +8,12 @@ class Jvm;
 namespace svagc::gc {
 
 // Stepwise GC cycle driver shared by every phase-structured collector
-// (ParallelLisp2, ShenandoahLike, ConcurrentSvagc). A cycle is a sequence of
-// bounded work quanta: BeginCycle() arms it, each StepPhase() call runs one
-// quantum, and cycle_active() reports whether quanta remain. For the STW
-// collectors a quantum is a whole phase; the concurrent collector yields
-// *within* phases via resumable cursors, so a single cycle is many quanta.
+// (ParallelLisp2, ShenandoahLike, ConcurrentSvagcCollector). A cycle is a
+// sequence of bounded work quanta: BeginCycle() arms it, each StepPhase()
+// call runs one quantum, and cycle_active() reports whether quanta remain.
+// For the STW collectors a quantum is a whole phase; the concurrent
+// collector yields *within* phases via resumable cursors, so a single cycle
+// is many quanta.
 //
 // The fleet arbiter drives engines through exactly this interface: it
 // round-robins StepPhase() across co-scheduled tenants until each reaches its

@@ -213,7 +213,7 @@ PlanOptimizerStats OptimizePlan(rt::Jvm& jvm, ForwardingResult& fwd,
     } else {
       // Plain CALCNEWADD (large objects, or coalescing off).
       CalcNewAdd(heap, as, addr, size, evacuate_all_live, comp_pnt,
-                 {plan.fillers, plan.region_moves[region_of(addr)],
+                 {plan.fillers, plan.region_moves, region_bytes,
                   plan.moved_objects, /*live=*/nullptr});
       ++i;
     }

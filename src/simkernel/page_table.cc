@@ -1,5 +1,7 @@
 #include "simkernel/page_table.h"
 
+#include <atomic>
+
 namespace svagc::sim {
 
 namespace {
@@ -10,6 +12,17 @@ std::uint64_t Index(std::uint64_t vpn, unsigned level) {
   return (vpn >> (level * kLevelBits)) & kIndexMask;
 }
 std::uint64_t PteIndex(std::uint64_t vpn) { return Index(vpn, 0); }
+
+// The lock-free readers (Lookup, LookupPte, LookupHuge, HardwareWalk) may
+// resolve a unit while a swapper's SplitHugeEntry demotes it. The split
+// publishes its filled table first and then clears `huge` with a release
+// store, so a reader that acquire-loads an empty `huge` also sees the table
+// and its PTEs; a reader that still sees the huge leaf never reads the table.
+Pte LoadHuge(const PmdEntry& entry) {
+  return Pte{std::atomic_ref<std::uint64_t>(
+                 const_cast<std::uint64_t&>(entry.huge.value))
+                 .load(std::memory_order_acquire)};
+}
 
 }  // namespace
 
@@ -93,16 +106,17 @@ frame_t PageTable::UnmapHuge(std::uint64_t vpn) {
 
 std::optional<frame_t> PageTable::LookupHuge(std::uint64_t vpn) const {
   const PmdEntry* entry = ResolvePmdEntry(vpn, /*create=*/false);
-  if (entry == nullptr || !entry->huge.present()) return std::nullopt;
-  return entry->huge.frame();
+  if (entry == nullptr) return std::nullopt;
+  const Pte huge = LoadHuge(*entry);
+  if (!huge.present()) return std::nullopt;
+  return huge.frame();
 }
 
 std::optional<frame_t> PageTable::Lookup(std::uint64_t vpn) const {
   const PmdEntry* entry = ResolvePmdEntry(vpn, /*create=*/false);
   if (entry == nullptr) return std::nullopt;
-  if (entry->huge.present()) {
-    return entry->huge.frame() + PteIndex(vpn);
-  }
+  const Pte huge = LoadHuge(*entry);
+  if (huge.present()) return huge.frame() + PteIndex(vpn);
   if (!entry->table) return std::nullopt;
   const Pte pte = entry->table->entries[PteIndex(vpn)];
   if (!pte.present()) return std::nullopt;
@@ -112,9 +126,10 @@ std::optional<frame_t> PageTable::Lookup(std::uint64_t vpn) const {
 Pte PageTable::LookupPte(std::uint64_t vpn) const {
   const PmdEntry* entry = ResolvePmdEntry(vpn, /*create=*/false);
   if (entry == nullptr) return Pte::Empty();
-  if (entry->huge.present()) {
+  const Pte huge = LoadHuge(*entry);
+  if (huge.present()) {
     // A huge-covered page is always resident; synthesize its slice.
-    return Pte::Make(entry->huge.frame() + PteIndex(vpn));
+    return Pte::Make(huge.frame() + PteIndex(vpn));
   }
   if (!entry->table) return Pte::Empty();
   return entry->table->entries[PteIndex(vpn)];
@@ -164,11 +179,15 @@ PteTable* PageTable::WalkToLeaf(std::uint64_t vpn, CycleAccount& acct,
 PteTable* PageTable::SplitHugeEntry(PmdEntry& entry) {
   SVAGC_CHECK(entry.huge.present() && !entry.table);
   const frame_t base = entry.huge.frame();
-  entry.table = std::make_unique<PteTable>();
+  // Fill before publishing: lock-free readers may be resolving this unit
+  // (see LoadHuge).
+  auto table = std::make_unique<PteTable>();
   for (std::uint64_t i = 0; i < kEntriesPerTable; ++i) {
-    entry.table->entries[i] = Pte::Make(base + i);
+    table->entries[i] = Pte::Make(base + i);
   }
-  entry.huge = Pte::Empty();
+  entry.table = std::move(table);
+  std::atomic_ref<std::uint64_t>(entry.huge.value)
+      .store(Pte::Empty().value, std::memory_order_release);
   return entry.table.get();
 }
 
@@ -198,12 +217,13 @@ std::optional<frame_t> PageTable::HardwareWalk(std::uint64_t vpn,
   ctr_walks_->Add();
   const PmdEntry* entry = ResolvePmdEntry(vpn, /*create=*/false);
   if (entry == nullptr) return std::nullopt;
-  if (entry->huge.present()) {
+  const Pte leaf = LoadHuge(*entry);
+  if (leaf.present()) {
     if (huge != nullptr) {
       huge->huge = true;
-      huge->unit_base_frame = entry->huge.frame();
+      huge->unit_base_frame = leaf.frame();
     }
-    return entry->huge.frame() + PteIndex(vpn);
+    return leaf.frame() + PteIndex(vpn);
   }
   if (!entry->table) return std::nullopt;
   const Pte pte = entry->table->entries[PteIndex(vpn)];

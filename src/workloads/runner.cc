@@ -53,12 +53,8 @@ std::unique_ptr<rt::CollectorIface> MakeCollector(CollectorKind kind,
     case CollectorKind::kConcurrentSvagc: {
       core::ConcurrentSvagcCoreConfig concurrent;
       concurrent.move.threshold_pages = config.swap_threshold_pages;
-      // Charge swap syscalls inside the move that issues them, not in a
-      // window-end batch flush: the per-move budget check must see the true
-      // accrued cost or a window can silently overrun its quantum.
-      concurrent.move.aggregate = false;
       if (config.concurrent_quantum_cycles > 0) {
-        concurrent.concurrent.quantum_cycles = config.concurrent_quantum_cycles;
+        concurrent.quantum_cycles = config.concurrent_quantum_cycles;
       }
       collector = std::make_unique<core::ConcurrentSvagcCollector>(
           machine, config.gc_threads, first_core, concurrent);

@@ -22,7 +22,8 @@ enum class CollectorKind {
   kSvagcNoSwap,      // SVAGC layout but memmove-only (Fig. 11 left bars)
   kSvagcNaiveTlb,    // SwapVA with per-call global shootdowns (Fig. 9 naive)
   kConcurrentSvagc,  // mutator-concurrent SVAGC (SATB mark + incremental
-                     // SwapVA evacuation; see src/gc/concurrent_svagc.h)
+                     // SwapVA evacuation; see
+                     // src/core/concurrent_svagc_collector.h)
   kParallelGc,       // ParallelGC-like baseline
   kShenandoah,       // Shenandoah-like baseline
   kSerialLisp2,      // serial LISP2 prototype (Fig. 1)
@@ -42,8 +43,8 @@ struct RunConfig {
   unsigned machine_cores = 32;
   std::uint64_t swap_threshold_pages = 10;
   // kConcurrentSvagc only: per-[STW]-window work budget in modeled cycles.
-  // 0 keeps gc::ConcurrentSvagcConfig's default. fig22 sweeps pause bounds
-  // through this without constructing collectors by hand.
+  // 0 keeps core::ConcurrentSvagcCoreConfig's default. fig22 sweeps pause
+  // bounds through this without constructing collectors by hand.
   double concurrent_quantum_cycles = 0;
   // Compaction-plan optimizer (fig19 sweeps the knobs; all off by default,
   // which keeps plans bit-identical to the unoptimized pipeline).

@@ -153,7 +153,7 @@ TEST(ConcurrentSchedule, HarnessExercisesBarrierAndSatb) {
   core::ConcurrentSvagcCoreConfig config;
   // A small quantum stretches the marking phase across many mutator ops, so
   // barriered overwrites land while SATB is on.
-  config.concurrent.quantum_cycles = 30000;
+  config.quantum_cycles = 30000;
   const auto ops = GenerateOps(shape, 7);
   ScheduleDriver driver(shape, config);
   const ScheduleRunResult result = driver.RunConcurrent(ops, 7);
@@ -176,7 +176,7 @@ TEST(ConcurrentPause, EvacWindowsRespectQuantumBudget) {
   shape.ops = 400;
   shape.begin_prob = 0.12;
   core::ConcurrentSvagcCoreConfig config;
-  config.concurrent.quantum_cycles = 60000;  // small budget => many windows
+  config.quantum_cycles = 60000;  // small budget => many windows
   const auto ops = GenerateOps(shape, 11);
   ScheduleDriver driver(shape, config);
   driver.RunConcurrent(ops, 11);
@@ -185,10 +185,10 @@ TEST(ConcurrentPause, EvacWindowsRespectQuantumBudget) {
   const double slack = 2 * driver.collector().max_single_step_cycles();
   constexpr double kWindowOverhead = 50000;  // pin + shootdown + flush, O(1)
   unsigned evac_windows = 0;
-  for (const gc::StwWindow& w : windows) {
-    if (w.phase != gc::ConcPhase::kEvacuate) continue;
+  for (const core::StwWindow& w : windows) {
+    if (w.phase != core::ConcPhase::kEvacuate) continue;
     ++evac_windows;
-    EXPECT_LE(w.cycles, config.concurrent.quantum_cycles + slack +
+    EXPECT_LE(w.cycles, config.quantum_cycles + slack +
                             kWindowOverhead)
         << "evacuation window " << evac_windows << " blew the budget";
   }
@@ -204,8 +204,8 @@ TEST(ConcurrentPause, FlipWindowIsConstant) {
   ScheduleDriver driver(shape);
   driver.RunConcurrent(ops, 3);
   unsigned flips = 0;
-  for (const gc::StwWindow& w : driver.collector().stw_windows()) {
-    if (w.phase != gc::ConcPhase::kFinalize) continue;
+  for (const core::StwWindow& w : driver.collector().stw_windows()) {
+    if (w.phase != core::ConcPhase::kFinalize) continue;
     ++flips;
     EXPECT_LT(w.cycles, 5000.0);
   }
@@ -223,7 +223,7 @@ double RemarkCycles(unsigned chain, unsigned writes) {
   jvm_config.heap.capacity = 32ULL << 20;
   rt::Jvm jvm(sim.machine, sim.phys, sim.kernel, jvm_config);
   core::ConcurrentSvagcCoreConfig config;
-  config.concurrent.satb_buffer_capacity = 1u << 20;
+  config.satb_buffer_capacity = 1u << 20;
   auto owned = std::make_unique<core::ConcurrentSvagcCollector>(
       sim.machine, /*gc_threads=*/2, /*first_core=*/0, config);
   core::ConcurrentSvagcCollector* collector = owned.get();
@@ -243,8 +243,8 @@ double RemarkCycles(unsigned chain, unsigned writes) {
   // Drive concurrent marking to completion; the phase advances to kRemark
   // only once the stack and handoffs are drained, and remark itself runs on
   // the *next* quantum — SATB is still on in the gap.
-  while (collector->phase() == gc::ConcPhase::kMark) collector->StepPhase();
-  EXPECT_EQ(collector->phase(), gc::ConcPhase::kRemark);
+  while (collector->phase() == core::ConcPhase::kMark) collector->StepPhase();
+  EXPECT_EQ(collector->phase(), core::ConcPhase::kRemark);
   // Barriered stores: every write enqueues the (already-marked) overwritten
   // target, so remark pays the per-entry drain charge and nothing else.
   for (unsigned w = 0; w < writes; ++w) {
@@ -256,8 +256,8 @@ double RemarkCycles(unsigned chain, unsigned writes) {
   EXPECT_EQ(collector->satb_enqueued(), writes);
   EXPECT_EQ(collector->remark_drained(), writes);
 
-  for (const gc::StwWindow& w : collector->stw_windows()) {
-    if (w.phase == gc::ConcPhase::kRemark) return w.cycles;
+  for (const core::StwWindow& w : collector->stw_windows()) {
+    if (w.phase == core::ConcPhase::kRemark) return w.cycles;
   }
   ADD_FAILURE() << "no remark window recorded";
   return 0;
@@ -425,7 +425,7 @@ TEST(ConcurrentPlan, PlanWalkMatchesComputeForwarding) {
   SimBundle sim(4);
   rt::Jvm jvm(sim.machine, sim.phys, sim.kernel, jvm_config);
   core::ConcurrentSvagcCoreConfig config;
-  config.concurrent.quantum_cycles = 20000;
+  config.quantum_cycles = 20000;
   auto owned = std::make_unique<core::ConcurrentSvagcCollector>(
       sim.machine, /*gc_threads=*/2, /*first_core=*/0, config);
   core::ConcurrentSvagcCollector* collector = owned.get();
@@ -435,9 +435,9 @@ TEST(ConcurrentPlan, PlanWalkMatchesComputeForwarding) {
 
   collector->BeginCycle(jvm);
   unsigned plan_quanta = 0;
-  while (collector->phase() != gc::ConcPhase::kEvacuate) {
+  while (collector->phase() != core::ConcPhase::kEvacuate) {
     ASSERT_TRUE(collector->cycle_active());
-    plan_quanta += collector->phase() == gc::ConcPhase::kPlan;
+    plan_quanta += collector->phase() == core::ConcPhase::kPlan;
     collector->StepPhase();
   }
   EXPECT_GT(plan_quanta, 1u);

@@ -544,11 +544,8 @@ class ConcurrentFaultRig {
     core::ConcurrentSvagcCoreConfig cc;
     // Small enough that one window holds only a couple of large-object
     // moves (a SwapVA move is just page-table relinks — a few thousand
-    // cycles), so the cycle takes several evacuation windows. Aggregation
-    // off so each move's syscall is charged inline, where the window budget
-    // can see it.
-    cc.concurrent.quantum_cycles = 2500;
-    cc.move.aggregate = false;
+    // cycles), so the cycle takes several evacuation windows.
+    cc.quantum_cycles = 2500;
     auto owned = std::make_unique<core::ConcurrentSvagcCollector>(
         sim_.machine, /*gc_threads=*/2, /*first_core=*/0, cc);
     collector_ = owned.get();
@@ -582,8 +579,8 @@ class ConcurrentFaultRig {
 
   unsigned EvacWindows() const {
     unsigned n = 0;
-    for (const gc::StwWindow& w : collector_->stw_windows()) {
-      if (w.phase == gc::ConcPhase::kEvacuate) ++n;
+    for (const core::StwWindow& w : collector_->stw_windows()) {
+      if (w.phase == core::ConcPhase::kEvacuate) ++n;
     }
     return n;
   }

@@ -257,10 +257,7 @@ class ParallelForwarding : public ::testing::TestWithParam<unsigned> {
                  : 8 * (1 + rng.NextBelow(64));
   }
 
-  void ExpectPlanMatchesSerial(Shape shape, std::uint64_t region_bytes,
-                               bool evacuate_all_live = false) {
-    const unsigned gc_threads = GetParam();
-    SimBundle sim(8, shape == kHugeMixed ? 512ULL << 20 : 256ULL << 20);
+  static rt::JvmConfig HeapConfig(Shape shape) {
     rt::JvmConfig config;
     config.heap.capacity = 32 << 20;
     if (shape == kHugeMixed) {
@@ -269,30 +266,50 @@ class ParallelForwarding : public ::testing::TestWithParam<unsigned> {
       config.heap.huge_threshold_pages = 256;
       config.heap.capacity = 160 << 20;
     }
-    rt::Jvm jvm(sim.machine, sim.phys, sim.kernel, config);
-    jvm.set_collector(std::make_unique<SerialLisp2>(sim.machine, 0));
+    return config;
+  }
 
-    // Half-rooted random heap: the dead gaps force displaced moves in every
-    // region, and the unrooted tail keeps new_top well below old top.
-    Rng rng(91 + static_cast<std::uint64_t>(shape));
-    const unsigned count =
-        shape == kLargeOnly ? 250 : (shape == kHugeMixed ? 72 : 600);
-    const auto table = jvm.New(2, count, 0);
-    const auto root = jvm.roots().Add(table);
-    for (unsigned i = 0; i < count; ++i) {
-      const rt::vaddr_t obj =
-          jvm.New(1, 0, DataBytes(shape, rng),
-                  static_cast<unsigned>(rng.NextBelow(2)));
-      if (rng.NextDouble() < 0.5) {
-        jvm.View(jvm.roots().Get(root)).set_ref(i, obj);
+  // A half-rooted random heap of `shape`, marked. The dead gaps force
+  // displaced moves in every region, and the unrooted tail keeps new_top
+  // well below old top.
+  struct MarkedHeap {
+    explicit MarkedHeap(Shape shape)
+        : sim(8, shape == kHugeMixed ? 512ULL << 20 : 256ULL << 20),
+          jvm(sim.machine, sim.phys, sim.kernel, HeapConfig(shape)),
+          bitmap(jvm.heap()),
+          serial(sim.machine, 0) {
+      jvm.set_collector(std::make_unique<SerialLisp2>(sim.machine, 0));
+      Rng rng(91 + static_cast<std::uint64_t>(shape));
+      const unsigned count =
+          shape == kLargeOnly ? 250 : (shape == kHugeMixed ? 72 : 600);
+      const auto table = jvm.New(2, count, 0);
+      const auto root = jvm.roots().Add(table);
+      for (unsigned i = 0; i < count; ++i) {
+        const rt::vaddr_t obj =
+            jvm.New(1, 0, DataBytes(shape, rng),
+                    static_cast<unsigned>(rng.NextBelow(2)));
+        if (rng.NextDouble() < 0.5) {
+          jvm.View(jvm.roots().Get(root)).set_ref(i, obj);
+        }
       }
+      jvm.RetireAllTlabs();
+      bitmap.Clear();
+      MarkSerial(jvm, bitmap, serial.worker_ctx(0), serial.costs());
     }
-    jvm.RetireAllTlabs();
 
-    MarkBitmap bitmap(jvm.heap());
-    bitmap.Clear();
-    SerialLisp2 serial(sim.machine, 0);
-    MarkSerial(jvm, bitmap, serial.worker_ctx(0), serial.costs());
+    SimBundle sim;
+    rt::Jvm jvm;
+    MarkBitmap bitmap;
+    SerialLisp2 serial;
+  };
+
+  void ExpectPlanMatchesSerial(Shape shape, std::uint64_t region_bytes,
+                               bool evacuate_all_live = false) {
+    const unsigned gc_threads = GetParam();
+    MarkedHeap heap(shape);
+    rt::Jvm& jvm = heap.jvm;
+    const MarkBitmap& bitmap = heap.bitmap;
+    SerialLisp2& serial = heap.serial;
     const ForwardingResult want = ComputeForwarding(
         jvm, bitmap, serial.worker_ctx(0), serial.costs(), region_bytes,
         evacuate_all_live);
@@ -304,7 +321,7 @@ class ParallelForwarding : public ::testing::TestWithParam<unsigned> {
       want_dst.push_back(jvm.View(addr).forwarding());
     }
 
-    ParallelLisp2 parallel(sim.machine, gc_threads, 0);
+    ParallelLisp2 parallel(heap.sim.machine, gc_threads, 0);
     double cp = 0;
     const ForwardingResult got = ComputeForwardingParallel(
         jvm, bitmap, parallel, region_bytes, evacuate_all_live, &cp);
@@ -357,6 +374,76 @@ TEST_P(ParallelForwarding, HugeAlignedPlanIsBitIdenticalWithSmallRegions) {
 
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelForwarding,
                          ::testing::Values(1, 2, 4, 8));
+
+// The forwarding walk stepped under a cycle budget (as the concurrent
+// collector's plan quanta run it) must reproduce one unbounded walk exactly,
+// and an unbounded walk charges heap_scan_per_byte per used byte plus
+// forward_obj per live object.
+TEST_F(ParallelForwarding, BudgetedWalkResumesToTheUnboundedPlan) {
+  for (const Shape shape : {kSmallOnly, kLargeOnly, kHugeMixed}) {
+    SCOPED_TRACE(static_cast<int>(shape));
+    MarkedHeap heap(shape);
+    rt::Heap& h = heap.jvm.heap();
+    sim::CpuContext& ctx = heap.serial.worker_ctx(0);
+    const GcCosts& costs = heap.serial.costs();
+
+    double start = ctx.account.total();
+    const ForwardingResult want = ComputeForwarding(
+        heap.jvm, heap.bitmap, ctx, costs, kDefaultRegionBytes);
+    const double want_charge = ctx.account.total() - start;
+    const double bulk =
+        costs.heap_scan_per_byte * static_cast<double>(h.used()) +
+        costs.forward_obj * static_cast<double>(want.plan.live_objects);
+    EXPECT_NEAR(want_charge, bulk, 1e-9 * bulk);
+    std::vector<rt::vaddr_t> want_dst;
+    for (const rt::vaddr_t addr : want.live) {
+      want_dst.push_back(heap.jvm.View(addr).forwarding());
+    }
+
+    for (const double budget : {1.0, costs.forward_obj, 20000.0}) {
+      SCOPED_TRACE(budget);
+      for (const rt::vaddr_t addr : want.live) {
+        heap.jvm.View(addr).set_forwarding(0);
+      }
+      ForwardingResult got;
+      got.plan.region_bytes = kDefaultRegionBytes;
+      got.plan.region_moves.resize(want.plan.region_moves.size());
+      ForwardingWalk walk{h.base(), h.base()};
+      std::uint64_t stops = 0;
+      start = ctx.account.total();
+      while (!ForwardMarked(h, heap.jvm.address_space(), heap.bitmap, h.top(),
+                            /*evacuate_all_live=*/false, ctx, costs,
+                            {got.plan.fillers, got.plan.region_moves,
+                             kDefaultRegionBytes, got.plan.moved_objects,
+                             &got.live},
+                            walk, budget)) {
+        ++stops;
+      }
+      EXPECT_NEAR(ctx.account.total() - start, want_charge,
+                  1e-9 * want_charge);
+      // A budget no larger than one object's charge plans one object per
+      // call; the largest still splits the walk.
+      if (budget <= costs.forward_obj) {
+        EXPECT_EQ(stops, want.plan.live_objects);
+      } else {
+        EXPECT_GE(stops, 1u);
+        EXPECT_LT(stops, want.plan.live_objects);
+      }
+      EXPECT_EQ(walk.scan, h.top());
+      EXPECT_EQ(walk.live_objects, want.plan.live_objects);
+      EXPECT_EQ(walk.live_bytes, want.plan.live_bytes);
+      EXPECT_EQ(walk.comp_pnt, want.plan.new_top);
+      EXPECT_EQ(got.live, want.live);
+      EXPECT_EQ(got.plan.region_moves, want.plan.region_moves);
+      EXPECT_EQ(got.plan.fillers, want.plan.fillers);
+      EXPECT_EQ(got.plan.moved_objects, want.plan.moved_objects);
+      for (std::size_t i = 0; i < want.live.size(); ++i) {
+        ASSERT_EQ(heap.jvm.View(want.live[i]).forwarding(), want_dst[i])
+            << "forwarding slot " << i;
+      }
+    }
+  }
+}
 
 // --- adjust -------------------------------------------------------------------
 

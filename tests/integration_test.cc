@@ -58,14 +58,10 @@ std::uint64_t RunAndHash(const std::string& workload_name, CollectorKind kind) {
           std::make_unique<core::SvagcCollector>(sim.machine, 8, 0, c));
       break;
     }
-    case CollectorKind::kConcurrentSvagc: {
-      // As MakeCollector builds it: swap syscalls charged per move.
-      core::ConcurrentSvagcCoreConfig c;
-      c.move.aggregate = false;
+    case CollectorKind::kConcurrentSvagc:
       jvm.set_collector(std::make_unique<core::ConcurrentSvagcCollector>(
-          sim.machine, 8, 0, c));
+          sim.machine, 8, 0));
       break;
-    }
     case CollectorKind::kParallelGc:
       jvm.set_collector(
           std::make_unique<gc::ParallelGcLike>(sim.machine, 8, 0));

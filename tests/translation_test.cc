@@ -6,7 +6,9 @@
 // which structure translates.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -340,6 +342,64 @@ INSTANTIATE_TEST_SUITE_P(Workloads, TranslationDifferential,
                            }
                            return name;
                          });
+
+// --- THP demotion under lock-free readers --------------------------------------
+
+// One thread demotes huge leaves (LeafForPteSwap, as a compaction worker's
+// SwapVA does) while another resolves pages of the same 2 MiB units through
+// the lock-free readers, as a concurrent CopyBytes does. Every lookup must
+// see the unit's frames whichever side of the split it lands on; the tsan
+// build checks the split publishes its table without a data race.
+TEST(PageTableSplitRace, LookupsDuringHugeSplitsSeeEveryFrame) {
+  constexpr std::uint64_t kUnits = 512;
+  constexpr frame_t kBaseFrame = 4096;
+  sim::PageTable table;
+  for (std::uint64_t u = 0; u < kUnits; ++u) {
+    table.MapHuge(u * kPagesPerHuge, kBaseFrame + u * kPagesPerHuge);
+  }
+  const CostProfile cost = ProfileXeonGold6130();
+  std::atomic<bool> reading{false};
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> mismatches{0};
+  std::thread reader([&] {
+    CycleAccount acct;
+    std::uint64_t round = 0;
+    reading.store(true, std::memory_order_release);
+    while (!done.load(std::memory_order_acquire)) {
+      for (std::uint64_t u = 0; u < kUnits; ++u) {
+        // Stride through the unit so consecutive rounds cover every slot.
+        const std::uint64_t vpn =
+            u * kPagesPerHuge + (round * 37 + u) % kPagesPerHuge;
+        const frame_t want = kBaseFrame + vpn;
+        const auto looked = table.Lookup(vpn);
+        const auto walked = table.HardwareWalk(vpn, acct, cost);
+        const sim::Pte pte = table.LookupPte(vpn);
+        if (!looked || *looked != want || !walked || *walked != want ||
+            !pte.present() || pte.frame() != want) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+        (void)table.LookupHuge(vpn);
+      }
+      ++round;
+    }
+  });
+  while (!reading.load(std::memory_order_acquire)) std::this_thread::yield();
+  CycleAccount acct;
+  for (std::uint64_t u = 0; u < kUnits; ++u) {
+    PmdCache cache;
+    const Translation::PteRef ref =
+        table.LeafForPteSwap(u * kPagesPerHuge + 5, acct, cost, &cache);
+    EXPECT_TRUE(ref.split_huge);
+  }
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ(table.CountHugeLeaves(), 0u);
+  EXPECT_EQ(table.CountAliasedUnits(), 0u);
+  for (std::uint64_t vpn = 0; vpn < kUnits * kPagesPerHuge; vpn += 97) {
+    EXPECT_EQ(*table.Lookup(vpn), kBaseFrame + vpn);
+  }
+}
 
 // Huge-path variant: with a 2 MiB alignment class and PMD swapping enabled,
 // the hashed backend's huge bucket class must still reproduce the radix
