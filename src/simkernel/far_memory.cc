@@ -1,36 +1,32 @@
 #include "simkernel/far_memory.h"
 
-#include <cstring>
-
 namespace svagc::sim {
 
 // --- FarMemory --------------------------------------------------------------
 
-std::uint64_t FarMemory::AllocSlot() {
+std::uint64_t FarMemory::AllocSlot(frame_t frame) {
+  SVAGC_DCHECK(frame != kInvalidFrame);
   std::uint64_t slot;
   if (!free_list_.empty()) {
     slot = free_list_.back();
     free_list_.pop_back();
   } else {
-    slot = slots_.size();
-    slots_.push_back(std::make_unique<std::byte[]>(kPageSize));
-    allocated_.push_back(false);
+    slot = frames_.size();
+    frames_.push_back(kInvalidFrame);
   }
-  SVAGC_DCHECK(!allocated_[slot]);
-  allocated_[slot] = true;
+  SVAGC_DCHECK(frames_[slot] == kInvalidFrame);
+  frames_[slot] = frame;
   ++used_;
   return slot;
 }
 
-void FarMemory::FreeSlot(std::uint64_t slot) {
-  SVAGC_CHECK(slot < slots_.size() && allocated_[slot]);
-  allocated_[slot] = false;
+frame_t FarMemory::FreeSlot(std::uint64_t slot) {
+  SVAGC_CHECK(IsAllocated(slot));
+  const frame_t frame = frames_[slot];
+  frames_[slot] = kInvalidFrame;
   free_list_.push_back(slot);
   --used_;
-}
-
-bool FarMemory::IsAllocated(std::uint64_t slot) const {
-  return slot < slots_.size() && allocated_[slot];
+  return frame;
 }
 
 // --- ResidencyClock ---------------------------------------------------------
@@ -120,7 +116,14 @@ FarTier::FarTier(Machine& machine, PhysicalMemory& phys, Translation& table,
       ctr_evictions_(machine.metrics().counter("kernel.tier.evictions")),
       ctr_shootdowns_(machine.metrics().counter("kernel.tier.shootdowns")),
       ctr_far_bytes_(
-          machine.metrics().counter("kernel.tier.far_bytes_written")) {
+          machine.metrics().counter("kernel.tier.far_bytes_written")),
+      ctr_victims_(machine.metrics().counter("kernel.tier.victims")),
+      ctr_skips_unmapped_(
+          machine.metrics().counter("kernel.tier.victim_skips.unmapped")),
+      ctr_skips_not_present_(
+          machine.metrics().counter("kernel.tier.victim_skips.not_present")),
+      ctr_skips_pinned_(
+          machine.metrics().counter("kernel.tier.victim_skips.pinned")) {
   SVAGC_CHECK(config_.resident_limit_pages >= 1);
   // Seed the clock with every already-resident 4 KiB page. Huge-mapped
   // units never enter the tier (their reach defeats per-page eviction and
@@ -138,15 +141,17 @@ bool FarTier::SwapOutLocked(CpuContext& ctx, std::uint64_t vpn,
   Translation::PteRef ref = table_.LeafSlotRaw(vpn);
   if (ref.slot == nullptr) {
     // Unpopulated or huge-mapped: nothing to demote.
+    ctr_skips_unmapped_.Add();
     clock_.NoteGone(vpn);
     return false;
   }
   ref.lock->lock();
   if (!ref.slot->present()) {
     // Double-evict hazard: the page was already evicted (or unmapped) since
-    // the victim was chosen. Detect and skip — evicting again would free a
-    // frame we do not hold and corrupt the slot bijection.
+    // the victim was chosen. Detect and skip — evicting again would hand a
+    // slot a frame we do not hold and corrupt the slot bijection.
     ref.lock->unlock();
+    ctr_skips_not_present_.Add();
     clock_.NoteGone(vpn);
     return false;
   }
@@ -155,22 +160,24 @@ bool FarTier::SwapOutLocked(CpuContext& ctx, std::uint64_t vpn,
     // copy's writes. Skip, and re-enter the clock (the victim scan consumed
     // this page's list entry) so a later scan can retry after the unpin.
     ref.lock->unlock();
+    ctr_skips_pinned_.Add();
     clock_.NoteResident(vpn);
     return false;
   }
   const frame_t frame = ref.slot->frame();
-  const std::uint64_t slot = far_.AllocSlot();
+  const std::uint64_t slot = far_.AllocSlot(frame);
   if (hook != nullptr && hook->ShouldFire(FaultPoint::kSwapSlotWriteLost)) {
     // The far write never completed: abort the eviction before the PTE
     // flips, so no swapped entry can name a slot with stale contents. The
-    // page stays resident; re-enter the clock (the victim scan consumed
-    // its list entry) so a later scan can retry it.
+    // page stays resident in its frame; re-enter the clock (the victim scan
+    // consumed its list entry) so a later scan can retry it.
     far_.FreeSlot(slot);
     ref.lock->unlock();
     clock_.NoteResident(vpn);
     return false;
   }
-  std::memcpy(far_.SlotData(slot), phys_.FrameData(frame), kPageSize);
+  // The frame now belongs to the slot: its bytes are the far copy, so the
+  // host copies nothing while the modeled clock pays the full far write.
   ctx.account.Charge(CostKind::kFarWrite,
                      machine_.cost().far_write_per_byte * kPageSize);
   // NVM-wear accounting: the far tier is the write-limited medium, so far
@@ -179,11 +186,10 @@ bool FarTier::SwapOutLocked(CpuContext& ctx, std::uint64_t vpn,
   phys_.NoteBytesWritten(kPageSize);
   far_bytes_written_.fetch_add(kPageSize, std::memory_order_relaxed);
   ctr_far_bytes_.Add(kPageSize);
-  *ref.slot = Pte::MakeSwapped(slot);
+  Pte::Store(*ref.slot, Pte::MakeSwapped(slot));
   ref.lock->unlock();
 
-  phys_.FreeFrame(frame);
-  // No TLB anywhere may keep the stale translation once the frame is gone.
+  // No TLB anywhere may keep the translation once the PTE is swapped.
   machine_.FlushPageAllCores(ctx, asid_, vpn);
   ctr_shootdowns_.Add();
   clock_.NoteGone(vpn);
@@ -201,6 +207,7 @@ void FarTier::EvictToLimitLocked(CpuContext& ctx, std::uint64_t headroom,
   while (resident_ > want) {
     std::uint64_t victim;
     if (!clock_.PickVictim(&victim)) break;  // nothing left to demote
+    ctr_victims_.Add();
     const bool demoted = SwapOutLocked(ctx, victim, hook);
     if (!demoted) {
       // Pinned, stale, or an injected write-lost abort. A bounded number of
@@ -242,23 +249,23 @@ void FarTier::SwapIn(CpuContext& ctx, std::uint64_t vpn, FaultHook* hook) {
   const std::uint64_t slot = ref.slot->swap_slot();
   ref.lock->unlock();
 
-  // Make room first: the frame allocator aborts on exhaustion, so the
-  // eviction's FreeFrame must land before our AllocFrame.
+  // Make room first: the page joins the clock only after the victims that
+  // make room for it are gone, which fixes the victim sequence.
   EvictToLimitLocked(ctx, /*headroom=*/1, hook);
 
-  const frame_t frame = phys_.AllocFrame();
   SVAGC_CHECK(far_.IsAllocated(slot));
-  std::memcpy(phys_.FrameData(frame), far_.SlotData(slot), kPageSize);
   ctx.account.Charge(CostKind::kFarRead,
                      machine_.cost().far_read_per_byte * kPageSize);
-  // The frame write is near-tier traffic on the wear tally, same as the
-  // memmove path's destination writes.
+  // The modeled frame fill is near-tier traffic on the wear tally, same as
+  // the memmove path's destination writes.
   phys_.NoteBytesWritten(kPageSize);
-  far_.FreeSlot(slot);
+  // The slot's frame holds the page's bytes: it becomes the resident frame
+  // again, known-zero bit and all.
+  const frame_t frame = far_.FreeSlot(slot);
 
   ref.lock->lock();
   SVAGC_CHECK(ref.slot->swapped() && ref.slot->swap_slot() == slot);
-  *ref.slot = Pte::Make(frame);
+  Pte::Store(*ref.slot, Pte::Make(frame));
   ref.lock->unlock();
 
   clock_.NoteResident(vpn);
@@ -326,7 +333,7 @@ void FarTier::NoteUnmapped(std::uint64_t vpn) {
 
 void FarTier::ReleaseSlot(std::uint64_t slot) {
   lock_.lock();
-  far_.FreeSlot(slot);
+  phys_.FreeFrame(far_.FreeSlot(slot));
   lock_.unlock();
 }
 
@@ -341,7 +348,7 @@ void FarTier::SetResidentLimit(CpuContext& ctx, std::uint64_t pages,
 
 std::byte* FarTier::SlotBytes(std::uint64_t slot) {
   lock_.lock();
-  std::byte* bytes = far_.SlotData(slot);
+  std::byte* bytes = phys_.FrameData(far_.SlotFrame(slot));
   lock_.unlock();
   return bytes;
 }

@@ -1,14 +1,22 @@
 // Far-memory tier: a DRAM-resident swap area with a calibrated cost model.
 //
 // The near tier is PhysicalMemory's frame pool; the far tier is a slot
-// array holding the real bytes of swapped-out pages (SUSTechOS-style: the
-// swap area is just memory, but every byte crossing the boundary is charged
-// at far_read_per_byte / far_write_per_byte — CXL/NVM-class media). A page
-// is either resident (present PTE, frame allocated) or swapped (PTE carries
-// the slot index, no frame). Faults are handled in userspace: the kernel
-// trap (fault_entry) dispatches to a per-process lightweight-thread handler
-// (fault_dispatch) which swaps the page in, evicting a victim first when
-// the residency limit is reached.
+// array in which every allocated slot owns the frame that holds the
+// swapped-out page's bytes (SUSTechOS-style: the swap area is just memory,
+// but every byte crossing the boundary is charged at far_read_per_byte /
+// far_write_per_byte — CXL/NVM-class media). A page is either resident
+// (present PTE naming its frame) or swapped (PTE carries the slot index; the
+// slot holds the frame). Swap-out hands the page's frame to a slot and
+// swap-in hands it back, so on the host no byte is copied either way — the
+// simulator applies SwapVA's own relink-not-copy idea to itself, while the
+// modeled clock still pays the full far-tier freight. Faults are handled in
+// userspace: the kernel trap (fault_entry) dispatches to a per-process
+// lightweight-thread handler (fault_dispatch) which swaps the page in,
+// evicting a victim first when the residency limit is reached.
+//
+// Near-tier occupancy is the tier's resident count, not the frame pool's
+// free count: a swapped page keeps its frame in the slot, so the pool holds
+// one frame per mapped page whatever the residency.
 //
 // Eviction policy is a two-list active/inactive clock (Linux-style LRU
 // approximation): pages enter the active list on swap-in and on mapping;
@@ -29,13 +37,14 @@
 // Translation::LeafSlotRaw — the same lock SwapVA holds while exchanging —
 // so a relink and an eviction of the same page serialize. Lock order is
 // tier lock -> leaf lock; SwapVA takes only leaf locks, so no cycle exists.
+// The flips are Pte::Store writes: the lock-free translation readers
+// (hardware walks, RawPtr, EnsureResident) may read the word meanwhile.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -59,25 +68,28 @@ struct FarTierConfig {
   std::uint64_t resident_limit_pages = 0;
 };
 
-// The swap area: real byte storage per slot plus a free-list allocator.
+// The swap area: one frame per allocated slot plus a free-list allocator.
 // Slot indices are dense and reused LIFO, so repeated evict/fault cycles
 // stay deterministic.
 class FarMemory {
  public:
-  std::uint64_t AllocSlot();
-  void FreeSlot(std::uint64_t slot);
-  bool IsAllocated(std::uint64_t slot) const;
+  // Hands `frame` (the evicted page's bytes) to a fresh slot.
+  std::uint64_t AllocSlot(frame_t frame);
+  // Frees the slot and returns the frame it held.
+  frame_t FreeSlot(std::uint64_t slot);
+  bool IsAllocated(std::uint64_t slot) const {
+    return slot < frames_.size() && frames_[slot] != kInvalidFrame;
+  }
 
-  std::byte* SlotData(std::uint64_t slot) {
+  frame_t SlotFrame(std::uint64_t slot) const {
     SVAGC_DCHECK(IsAllocated(slot));
-    return slots_[slot].get();
+    return frames_[slot];
   }
 
   std::uint64_t used_slots() const { return used_; }
 
  private:
-  std::vector<std::unique_ptr<std::byte[]>> slots_;
-  std::vector<bool> allocated_;
+  std::vector<frame_t> frames_;  // kInvalidFrame marks a free slot
   std::vector<std::uint64_t> free_list_;
   std::uint64_t used_ = 0;
 };
@@ -131,15 +143,17 @@ class FarTier {
   FarTier(Machine& machine, PhysicalMemory& phys, Translation& table,
           std::uint64_t asid, const FarTierConfig& config);
 
-  // Demotes one resident page to the far tier: far-write of its contents,
-  // PTE flip to swapped, frame freed, TLBs invalidated on every core.
+  // Demotes one resident page to the far tier: far-write charge, the frame
+  // handed to a fresh slot, PTE flip to swapped, TLBs invalidated on every
+  // core.
   // Returns false (without evicting) when the page is not resident — the
   // double-evict hazard — or when kSwapSlotWriteLost fires (the eviction
   // aborts, the page stays resident).
   bool SwapOut(CpuContext& ctx, std::uint64_t vpn, FaultHook* hook);
 
   // Promotes one swapped page: evicts victims while at the residency limit,
-  // then far-reads the slot into a fresh frame and flips the PTE present.
+  // then charges the far read, takes the slot's frame back and flips the
+  // PTE present.
   void SwapIn(CpuContext& ctx, std::uint64_t vpn, FaultHook* hook);
 
   // The userspace fault path: trap entry + lightweight-thread dispatch
@@ -169,21 +183,26 @@ class FarTier {
   // evictable. Keeps the tier's resident count equal to the page table's
   // present-PTE count — the tier-residency invariant.
   void NoteUnitSplit(std::uint64_t unit_vpn);
-  // Frees the swap slot of a page unmapped while swapped out.
+  // Frees the swap slot of a page unmapped while swapped out, returning the
+  // slot's frame to the pool.
   void ReleaseSlot(std::uint64_t slot);
 
   // Raises or lowers the residency limit, evicting down to it immediately.
   void SetResidentLimit(CpuContext& ctx, std::uint64_t pages, FaultHook* hook);
 
   // Direct far-tier byte access for uncosted reads (heap digests, snapshot
-  // restore): the bytes of a swapped page, by slot.
+  // restore): the bytes of a swapped page, by slot. They lie in the slot's
+  // frame, so writers report through PhysicalMemory::NoteWrite as for any
+  // frame.
   std::byte* SlotBytes(std::uint64_t slot);
 
   std::uint64_t resident_pages() const { return resident_; }
   std::uint64_t resident_limit() const { return config_.resident_limit_pages; }
   std::uint64_t used_slots() const { return far_.used_slots(); }
-  // Verifier probe: is this slot currently handed out by the allocator?
+  // Verifier probes: is this slot currently handed out by the allocator,
+  // and which frame does it hold?
   bool SlotAllocated(std::uint64_t slot) const { return far_.IsAllocated(slot); }
+  frame_t SlotFrame(std::uint64_t slot) const { return far_.SlotFrame(slot); }
 
   // Plain tallies readable under SVAGC_TELEMETRY=OFF; the same totals feed
   // the kernel.tier.* counters in the machine registry.
@@ -228,6 +247,12 @@ class FarTier {
   telemetry::Counter& ctr_evictions_;
   telemetry::Counter& ctr_shootdowns_;
   telemetry::Counter& ctr_far_bytes_;
+  // Victim scan: picks, and the SwapOutLocked calls that demote nothing,
+  // by reason (no leaf PTE, PTE no longer present, page pinned).
+  telemetry::Counter& ctr_victims_;
+  telemetry::Counter& ctr_skips_unmapped_;
+  telemetry::Counter& ctr_skips_not_present_;
+  telemetry::Counter& ctr_skips_pinned_;
 };
 
 }  // namespace svagc::sim

@@ -174,8 +174,9 @@ std::optional<frame_t> HashedPageTable::Lookup(std::uint64_t vpn) const {
   if (const Node* node = Find(page_buckets_, vpn)) {
     // Swapped-out pages are non-present; the node persists so the swap-slot
     // index travels with the vpn.
-    if (!node->pte.present()) return std::nullopt;
-    return node->pte.frame();
+    const Pte pte = Pte::Load(node->pte);
+    if (!pte.present()) return std::nullopt;
+    return pte.frame();
   }
   if (const Node* node = Find(huge_buckets_, UnitOf(vpn))) {
     return node->pte.frame() + (vpn & kIndexMask);
@@ -184,7 +185,7 @@ std::optional<frame_t> HashedPageTable::Lookup(std::uint64_t vpn) const {
 }
 
 Pte HashedPageTable::LookupPte(std::uint64_t vpn) const {
-  if (const Node* node = Find(page_buckets_, vpn)) return node->pte;
+  if (const Node* node = Find(page_buckets_, vpn)) return Pte::Load(node->pte);
   if (const Node* node = Find(huge_buckets_, UnitOf(vpn))) {
     // A huge-covered page is always resident; synthesize its slice.
     return Pte::Make(node->pte.frame() + (vpn & kIndexMask));
@@ -222,8 +223,9 @@ std::optional<frame_t> HashedPageTable::HardwareWalk(std::uint64_t vpn,
   if (Node* node = FindCosted(page_buckets_, vpn, acct, cost)) {
     // A swapped-out page has a node (carrying its slot index) but no
     // translation: the fill handler reports a miss and the fault path runs.
-    if (!node->pte.present()) return std::nullopt;
-    return node->pte.frame();
+    const Pte pte = Pte::Load(node->pte);
+    if (!pte.present()) return std::nullopt;
+    return pte.frame();
   }
   if (Node* node = FindCosted(huge_buckets_, UnitOf(vpn), acct, cost)) {
     if (huge != nullptr) {

@@ -1,15 +1,24 @@
 #include "simkernel/machine.h"
 
+#include <bit>
+
 namespace svagc::sim {
 
 Machine::Machine(unsigned num_cores, const CostProfile& profile,
                  TranslationBackend translation)
     : num_cores_(num_cores), profile_(profile), translation_(translation) {
   SVAGC_CHECK(num_cores >= 1);
+  if (num_cores <= 64) {
+    tlb_holders_ =
+        std::make_unique<std::atomic<std::uint64_t>[]>(Tlb::kDenseAsids);
+  }
   tlbs_.reserve(num_cores);
   disturbance_.reserve(num_cores);
   for (unsigned i = 0; i < num_cores; ++i) {
     tlbs_.push_back(std::make_unique<Tlb>());
+    if (tlb_holders_ != nullptr) {
+      tlbs_.back()->AttachCoreMask(tlb_holders_.get(), i);
+    }
     disturbance_.push_back(std::make_unique<std::atomic<std::uint64_t>>(0));
   }
 }
@@ -48,6 +57,14 @@ void Machine::FlushPageAllCores(CpuContext& ctx, std::uint64_t asid,
   ctx.account.Charge(CostKind::kTlbFlushPage,
                      profile_.tlb_flush_page * num_cores_);
   HotCounter(ctr_page_flushes_, "tlb.page_flushes").Add(num_cores_);
+  if (TracksTlbHolders(asid)) {
+    // A core whose TLB holds no entry of the ASID has nothing to drop.
+    for (std::uint64_t cores = TlbHolders(asid); cores != 0;
+         cores &= cores - 1) {
+      tlb(static_cast<unsigned>(std::countr_zero(cores))).FlushPage(asid, vpn);
+    }
+    return;
+  }
   for (unsigned core = 0; core < num_cores_; ++core) {
     tlb(core).FlushPage(asid, vpn);
   }

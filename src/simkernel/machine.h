@@ -73,9 +73,21 @@ class Machine {
   // Charges the caller one tlb_flush_page per core. Deliberately NOT an IPI
   // round — evictions ride the fault path, not the SwapVA shootdown path,
   // so the paper's Eq. 2 IPI accounting (IPIs are a SwapVA/fleet quantity)
-  // stays untouched; the modeled cost is the invlpg work itself.
+  // stays untouched; the modeled cost is the invlpg work itself. On the
+  // host, only cores whose TLB holds an entry of `asid` are visited (see
+  // TlbHolders); the charge and "tlb.page_flushes" still count every core.
   void FlushPageAllCores(CpuContext& ctx, std::uint64_t asid,
                          std::uint64_t vpn);
+
+  // Bit c is set while core c's TLB holds an entry of `asid`. Tracked for
+  // ASIDs below Tlb::kDenseAsids on machines of at most 64 cores.
+  bool TracksTlbHolders(std::uint64_t asid) const {
+    return tlb_holders_ != nullptr && asid < Tlb::kDenseAsids;
+  }
+  std::uint64_t TlbHolders(std::uint64_t asid) const {
+    SVAGC_DCHECK(TracksTlbHolders(asid));
+    return tlb_holders_[asid].load(std::memory_order_acquire);
+  }
 
   // Batched cross-process round: one IPI per remote core covering every asid
   // in `asids` (the fleet arbiter's epoch flush). The interrupt cost is paid
@@ -146,6 +158,9 @@ class Machine {
   const unsigned num_cores_;
   const CostProfile& profile_;
   const TranslationBackend translation_;
+  // Per dense ASID, the cores whose TLB holds an entry of it (each Tlb
+  // keeps its own bit); null when the machine has more than 64 cores.
+  std::unique_ptr<std::atomic<std::uint64_t>[]> tlb_holders_;
   std::vector<std::unique_ptr<Tlb>> tlbs_;
   std::vector<std::unique_ptr<std::atomic<std::uint64_t>>> disturbance_;
   std::atomic<std::uint64_t> ipis_sent_{0};

@@ -1,7 +1,5 @@
 #include "simkernel/page_table.h"
 
-#include <atomic>
-
 namespace svagc::sim {
 
 namespace {
@@ -13,18 +11,14 @@ std::uint64_t Index(std::uint64_t vpn, unsigned level) {
 }
 std::uint64_t PteIndex(std::uint64_t vpn) { return Index(vpn, 0); }
 
+}  // namespace
+
 // The lock-free readers (Lookup, LookupPte, LookupHuge, HardwareWalk) may
 // resolve a unit while a swapper's SplitHugeEntry demotes it. The split
 // publishes its filled table first and then clears `huge` with a release
 // store, so a reader that acquire-loads an empty `huge` also sees the table
 // and its PTEs; a reader that still sees the huge leaf never reads the table.
-Pte LoadHuge(const PmdEntry& entry) {
-  return Pte{std::atomic_ref<std::uint64_t>(
-                 const_cast<std::uint64_t&>(entry.huge.value))
-                 .load(std::memory_order_acquire)};
-}
-
-}  // namespace
+// Leaf PTEs the far tier flips are read with Pte::Load for the same reason.
 
 PageTable::PageTable(telemetry::MetricsRegistry* metrics)
     : Translation(metrics), pgd_(std::make_unique<PgdTable>()) {}
@@ -107,7 +101,7 @@ frame_t PageTable::UnmapHuge(std::uint64_t vpn) {
 std::optional<frame_t> PageTable::LookupHuge(std::uint64_t vpn) const {
   const PmdEntry* entry = ResolvePmdEntry(vpn, /*create=*/false);
   if (entry == nullptr) return std::nullopt;
-  const Pte huge = LoadHuge(*entry);
+  const Pte huge = Pte::Load(entry->huge);
   if (!huge.present()) return std::nullopt;
   return huge.frame();
 }
@@ -115,10 +109,10 @@ std::optional<frame_t> PageTable::LookupHuge(std::uint64_t vpn) const {
 std::optional<frame_t> PageTable::Lookup(std::uint64_t vpn) const {
   const PmdEntry* entry = ResolvePmdEntry(vpn, /*create=*/false);
   if (entry == nullptr) return std::nullopt;
-  const Pte huge = LoadHuge(*entry);
+  const Pte huge = Pte::Load(entry->huge);
   if (huge.present()) return huge.frame() + PteIndex(vpn);
   if (!entry->table) return std::nullopt;
-  const Pte pte = entry->table->entries[PteIndex(vpn)];
+  const Pte pte = Pte::Load(entry->table->entries[PteIndex(vpn)]);
   if (!pte.present()) return std::nullopt;
   return pte.frame();
 }
@@ -126,13 +120,13 @@ std::optional<frame_t> PageTable::Lookup(std::uint64_t vpn) const {
 Pte PageTable::LookupPte(std::uint64_t vpn) const {
   const PmdEntry* entry = ResolvePmdEntry(vpn, /*create=*/false);
   if (entry == nullptr) return Pte::Empty();
-  const Pte huge = LoadHuge(*entry);
+  const Pte huge = Pte::Load(entry->huge);
   if (huge.present()) {
     // A huge-covered page is always resident; synthesize its slice.
     return Pte::Make(huge.frame() + PteIndex(vpn));
   }
   if (!entry->table) return Pte::Empty();
-  return entry->table->entries[PteIndex(vpn)];
+  return Pte::Load(entry->table->entries[PteIndex(vpn)]);
 }
 
 Translation::PteRef PageTable::LeafSlotRaw(std::uint64_t vpn) {
@@ -180,14 +174,13 @@ PteTable* PageTable::SplitHugeEntry(PmdEntry& entry) {
   SVAGC_CHECK(entry.huge.present() && !entry.table);
   const frame_t base = entry.huge.frame();
   // Fill before publishing: lock-free readers may be resolving this unit
-  // (see LoadHuge).
+  // (see the note at the top of this file).
   auto table = std::make_unique<PteTable>();
   for (std::uint64_t i = 0; i < kEntriesPerTable; ++i) {
     table->entries[i] = Pte::Make(base + i);
   }
   entry.table = std::move(table);
-  std::atomic_ref<std::uint64_t>(entry.huge.value)
-      .store(Pte::Empty().value, std::memory_order_release);
+  Pte::Store(entry.huge, Pte::Empty());
   return entry.table.get();
 }
 
@@ -217,7 +210,7 @@ std::optional<frame_t> PageTable::HardwareWalk(std::uint64_t vpn,
   ctr_walks_->Add();
   const PmdEntry* entry = ResolvePmdEntry(vpn, /*create=*/false);
   if (entry == nullptr) return std::nullopt;
-  const Pte leaf = LoadHuge(*entry);
+  const Pte leaf = Pte::Load(entry->huge);
   if (leaf.present()) {
     if (huge != nullptr) {
       huge->huge = true;
@@ -226,7 +219,7 @@ std::optional<frame_t> PageTable::HardwareWalk(std::uint64_t vpn,
     return leaf.frame() + PteIndex(vpn);
   }
   if (!entry->table) return std::nullopt;
-  const Pte pte = entry->table->entries[PteIndex(vpn)];
+  const Pte pte = Pte::Load(entry->table->entries[PteIndex(vpn)]);
   if (!pte.present()) return std::nullopt;
   return pte.frame();
 }

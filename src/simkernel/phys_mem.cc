@@ -69,10 +69,9 @@ frame_t PhysicalMemory::AllocContiguous(std::uint64_t count) {
 }
 
 void PhysicalMemory::ZeroPage(std::byte* p, std::uint64_t bytes) {
-  const auto frame = FrameOf(p);
-  SVAGC_CHECK(frame.has_value());
-  SVAGC_DCHECK(((p - FrameData(*frame)) + bytes) <= kPageSize);
-  std::atomic<std::uint8_t>& bit = known_zero_[*frame];
+  const frame_t frame = FrameOf(p);
+  SVAGC_DCHECK(((p - FrameData(frame)) + bytes) <= kPageSize);
+  std::atomic<std::uint8_t>& bit = known_zero_[frame];
   if (bit.load(std::memory_order_relaxed) != 0) {
     SVAGC_DCHECK(std::all_of(p, p + bytes,
                              [](std::byte b) { return b == std::byte{0}; }));

@@ -10,15 +10,15 @@
 // every other way a frame's bytes can change clears it (AllocFrame and
 // AllocContiguous hand out frames whose bytes the caller overwrites;
 // writers through FrameData pointers report with NoteWrite). Because
-// SwapVA moves frames, not bytes, the bit travels with the frame. The bit
-// changes host work only, never a modeled charge or byte tally.
+// SwapVA and the far tier move frames, not bytes, the bit travels with the
+// frame. The bit changes host work only, never a modeled charge or byte
+// tally.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "simkernel/config.h"
@@ -59,14 +59,14 @@ class PhysicalMemory {
   void ZeroPage(std::byte* p, std::uint64_t bytes);
 
   // Reports a write that may have left nonzero bytes at `p`; the frame
-  // stops being known zero. Pointers outside the backing are ignored: a
-  // far-tier slot gets a fresh frame (bit clear) when it is swapped in.
+  // stops being known zero. `p` must lie in a frame: a swapped-out page's
+  // bytes lie in the frame its far-tier slot holds, so writes to resident
+  // and swapped pages report alike, and the bit travels with the frame
+  // through eviction and swap-in as it does through SwapVA.
   void NoteWrite(const std::byte* p) {
-    if (const auto frame = FrameOf(p)) {
-      std::atomic<std::uint8_t>& bit = known_zero_[*frame];
-      if (bit.load(std::memory_order_relaxed) != 0) {
-        bit.store(0, std::memory_order_relaxed);
-      }
+    std::atomic<std::uint8_t>& bit = known_zero_[FrameOf(p)];
+    if (bit.load(std::memory_order_relaxed) != 0) {
+      bit.store(0, std::memory_order_relaxed);
     }
   }
   bool known_zero(frame_t frame) const {
@@ -89,12 +89,11 @@ class PhysicalMemory {
   }
 
  private:
-  // The frame whose bytes hold `p`; nullopt for a pointer outside the
-  // backing (a far-tier slot, say).
-  std::optional<frame_t> FrameOf(const std::byte* p) const {
+  // The frame whose bytes hold `p`, which must lie in the backing.
+  frame_t FrameOf(const std::byte* p) const {
     const auto offset = reinterpret_cast<std::uintptr_t>(p) -
                         reinterpret_cast<std::uintptr_t>(backing_.get());
-    if (offset >= (total_frames_ << kPageShift)) return std::nullopt;
+    SVAGC_CHECK(offset < (total_frames_ << kPageShift));
     return offset >> kPageShift;
   }
 

@@ -68,7 +68,7 @@ void Tlb::InsertTagged(std::uint64_t asid, std::uint64_t vpn, frame_t frame,
   if (victim->valid) Invalidate(*victim);
   const std::size_t slot = OccupancySlot(asid);
   if (slot >= live_.size()) live_.resize(slot + 1, 0);
-  ++live_[slot];
+  if (live_[slot]++ == 0) PublishOccupancy(slot, true);
   if (huge) ++live_huge_;
   *victim = Entry{true, huge, asid, vpn, frame, ++clock_};
 }
@@ -139,13 +139,25 @@ void Tlb::FlushAll() {
   SpinLockGuard guard(lock_);
   ++flushes_;
   for (Entry& entry : entries_) entry.valid = false;
-  std::fill(live_.begin(), live_.end(), 0);
+  for (std::size_t slot = 0; slot < live_.size(); ++slot) {
+    if (live_[slot] != 0) PublishOccupancy(slot, false);
+    live_[slot] = 0;
+  }
   live_huge_ = 0;
 }
 
 std::uint64_t Tlb::LiveEntries(std::uint64_t asid) {
   SpinLockGuard guard(lock_);
   return LiveLocked(asid);
+}
+
+void Tlb::AttachCoreMask(std::atomic<std::uint64_t>* masks, unsigned core) {
+  SVAGC_CHECK(core < 64);
+  SpinLockGuard guard(lock_);
+  SVAGC_CHECK(std::all_of(live_.begin(), live_.end(),
+                          [](std::uint32_t n) { return n == 0; }));
+  core_masks_ = masks;
+  core_bit_ = std::uint64_t{1} << core;
 }
 
 std::uint64_t Tlb::LiveHugeEntries() {

@@ -18,8 +18,12 @@
 // the huge-tag probe is skipped while no huge entry exists. The outcome of
 // every call (hit, frame, LRU stamps, the hit/miss/flush tallies) is what
 // the full scan gives; the counts only decide how much host work finds it.
+// A Tlb owned by a Machine also publishes, per dense ASID, whether it holds
+// any entry, as one bit of a machine-wide core mask (AttachCoreMask), so a
+// page flush on every core visits only the cores that can hold the page.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -75,6 +79,12 @@ class Tlb {
   std::uint64_t LiveEntries(std::uint64_t asid);
   std::uint64_t LiveHugeEntries();
 
+  // Publishes occupancy into `masks` (kDenseAsids words): bit `core` of
+  // masks[asid] is set, with release ordering and under this TLB's lock,
+  // exactly while this TLB holds an entry of dense ASID `asid`. Readers
+  // load a word with acquire ordering. Call once, while the TLB is empty.
+  void AttachCoreMask(std::atomic<std::uint64_t>* masks, unsigned core);
+
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
   std::uint64_t flushes() const { return flushes_; }
@@ -115,8 +125,20 @@ class Tlb {
   // Invalidates a valid entry and drops it from the counts.
   void Invalidate(Entry& entry) {
     entry.valid = false;
-    --live_[OccupancySlot(entry.asid)];
+    const std::size_t slot = OccupancySlot(entry.asid);
+    if (--live_[slot] == 0) PublishOccupancy(slot, false);
     if (entry.huge) --live_huge_;
+  }
+  // Sets or clears this core's bit for the dense ASID of occupancy slot
+  // `slot` (slot 0, the shared sparse count, has no mask word).
+  void PublishOccupancy(std::size_t slot, bool holds) {
+    if (core_masks_ == nullptr || slot == 0) return;
+    std::atomic<std::uint64_t>& word = core_masks_[slot - 1];
+    if (holds) {
+      word.fetch_or(core_bit_, std::memory_order_release);
+    } else {
+      word.fetch_and(~core_bit_, std::memory_order_release);
+    }
   }
 
   unsigned sets_;
@@ -125,6 +147,8 @@ class Tlb {
   std::uint64_t clock_ = 0;
   std::vector<std::uint32_t> live_;  // per OccupancySlot; grows on insert
   std::uint32_t live_huge_ = 0;
+  std::atomic<std::uint64_t>* core_masks_ = nullptr;  // not owned
+  std::uint64_t core_bit_ = 0;
 
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

@@ -28,6 +28,7 @@
 // instantiated per-AddressSpace by MakeTranslation.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -72,6 +73,21 @@ struct Pte {
   static Pte Make(frame_t frame) { return Pte{(frame << 1) | 1}; }
   static Pte MakeSwapped(std::uint64_t slot) { return Pte{(slot << 2) | 2}; }
   static Pte Empty() { return Pte{0}; }
+
+  // Entry words that change while lock-free readers (Lookup, LookupPte,
+  // HardwareWalk) may resolve them — a far-tier flip under the leaf lock,
+  // a huge-leaf split — are written with Store and read with Load, so the
+  // two never form a data race. Release/acquire: a reader that sees the
+  // new word also sees what the writer published before it.
+  static Pte Load(const Pte& entry) {
+    return Pte{std::atomic_ref<std::uint64_t>(
+                   const_cast<std::uint64_t&>(entry.value))
+                   .load(std::memory_order_acquire)};
+  }
+  static void Store(Pte& entry, Pte value) {
+    std::atomic_ref<std::uint64_t>(entry.value)
+        .store(value.value, std::memory_order_release);
+  }
 };
 
 struct PmdEntry;  // radix-backend detail (page_table.h); cached by pointer

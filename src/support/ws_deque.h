@@ -2,9 +2,13 @@
 //
 // The owner pushes/pops at the bottom; thieves steal from the top. This is
 // the classic structure HotSpot's ParallelGC task queues are based on. The
-// implementation follows the corrected C11-memory-model version from
-// Lê et al., "Correct and Efficient Work-Stealing for Weak Memory Models"
-// (PPoPP'13), fixed-capacity variant with overflow into a locked vector.
+// implementation follows the C11-memory-model version from Lê et al.,
+// "Correct and Efficient Work-Stealing for Weak Memory Models" (PPoPP'13),
+// fixed-capacity variant with overflow into a locked vector, in its
+// fence-free form: the two seq_cst fences become seq_cst accesses (Pop's
+// exchange of bottom_ and its load of top_; Steal's loads of top_ and then
+// bottom_), which order the same store-load pairs and which ThreadSanitizer
+// can model.
 #pragma once
 
 #include <atomic>
@@ -52,9 +56,10 @@ class WorkStealingDeque {
   // Owner-only.
   std::optional<T> Pop() {
     const std::int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
-    bottom_.store(b, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    std::int64_t t = top_.load(std::memory_order_relaxed);
+    // Publish the claim on slot b before reading top_: a thief that read
+    // the old bottom_ must be seen here through top_, or lose the CAS.
+    bottom_.exchange(b, std::memory_order_seq_cst);
+    std::int64_t t = top_.load(std::memory_order_seq_cst);
     if (t > b) {
       // Deque was empty; restore and try the overflow list.
       bottom_.store(b + 1, std::memory_order_relaxed);
@@ -76,9 +81,8 @@ class WorkStealingDeque {
 
   // Any thread.
   std::optional<T> Steal() {
-    std::int64_t t = top_.load(std::memory_order_acquire);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    const std::int64_t b = bottom_.load(std::memory_order_acquire);
+    std::int64_t t = top_.load(std::memory_order_seq_cst);
+    const std::int64_t b = bottom_.load(std::memory_order_seq_cst);
     if (t >= b) return PopOverflow();
     T value = buffer_[static_cast<std::size_t>(t) & mask_].load(
         std::memory_order_relaxed);

@@ -1,6 +1,8 @@
 #include "verify/invariant_registry.h"
 
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "runtime/jvm.h"
 #include "support/table.h"
@@ -59,17 +61,22 @@ rt::VerifyResult CheckTierResidency(rt::Jvm& jvm) {
   if (tier == nullptr) return result;
   const sim::Translation& table = jvm.address_space().translation();
   std::unordered_set<std::uint64_t> seen_slots;
-  std::uint64_t swapped = 0;
+  // Frame ownership: which present PTE or slot holds each frame.
+  enum : std::uint8_t { kFree, kPresent, kSlot };
+  std::vector<std::uint8_t> owner(jvm.address_space().phys().total_frames(),
+                                  kFree);
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> swapped_vpns;
   std::uint64_t resident = 0;
   table.VisitSmallPages([&](std::uint64_t vpn, sim::Pte pte) {
     if (!result.ok) return;
     if (pte.present()) {
       ++resident;
+      owner[pte.frame()] = kPresent;
       return;
     }
     if (!pte.swapped()) return;
-    ++swapped;
     const std::uint64_t slot = pte.swap_slot();
+    swapped_vpns.emplace_back(vpn, slot);
     if (!tier->SlotAllocated(slot)) {
       result.ok = false;
       result.error = Format(
@@ -86,6 +93,7 @@ rt::VerifyResult CheckTierResidency(rt::Jvm& jvm) {
     }
   });
   if (!result.ok) return result;
+  const std::uint64_t swapped = swapped_vpns.size();
   if (swapped != tier->used_slots()) {
     result.ok = false;
     result.error = Format(
@@ -100,6 +108,23 @@ rt::VerifyResult CheckTierResidency(rt::Jvm& jvm) {
         "%llu present small-page PTEs but the tier counts %llu resident",
         (unsigned long long)resident,
         (unsigned long long)tier->resident_pages());
+    return result;
+  }
+  // Every allocated slot is named by exactly one swapped PTE (checked
+  // above), so these are all the slots: each must own its frame alone.
+  for (const auto& [vpn, slot] : swapped_vpns) {
+    const sim::frame_t frame = tier->SlotFrame(slot);
+    if (owner[frame] != kFree) {
+      result.ok = false;
+      result.error = Format(
+          "swap slot %llu (vpn 0x%llx) holds frame %llu, which %s",
+          (unsigned long long)slot, (unsigned long long)vpn,
+          (unsigned long long)frame,
+          owner[frame] == kPresent ? "a present PTE also maps"
+                                   : "another swap slot also holds");
+      return result;
+    }
+    owner[frame] = kSlot;
   }
   // No check against resident_limit(): the limit is enforced lazily (on the
   // fault path, SysMadviseCold and SysSetResidencyLimit), so huge-leaf

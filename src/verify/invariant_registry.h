@@ -35,7 +35,9 @@ rt::VerifyResult CheckHugeMappingConsistency(rt::Jvm& jvm);
 // Tier residency / slot bijection: with a far tier attached, every swapped
 // PTE names a live swap slot, no two PTEs share a slot, and the number of
 // swapped PTEs equals the allocator's used-slot count (no leaked and no
-// double-freed slots). Trivially ok when the address space has no far tier.
+// double-freed slots). Frame ownership too: each slot holds its own frame,
+// which no present PTE maps. Trivially ok when the address space has no
+// far tier.
 rt::VerifyResult CheckTierResidency(rt::Jvm& jvm);
 
 struct InvariantFailure {

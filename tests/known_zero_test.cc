@@ -4,8 +4,8 @@
 // frame becomes known zero), dirties it through one write path, and checks
 // that a later ZeroBytes really zeroes it. Every case runs on both
 // translation backends with half the pages in the far tier, so frames also
-// change hands through eviction and swap-in. At the end of each case every
-// frame whose bit is set must hold only zero bytes.
+// pass through far-tier slots by eviction and swap-in. At the end of each
+// case every frame whose bit is set must hold only zero bytes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -153,26 +153,63 @@ TEST_P(KnownZeroFrames, ReallocatedFrameIsNotKnownZero) {
   rig.ExpectKnownZeroFramesAreZero();
 }
 
-TEST_P(KnownZeroFrames, SwapInOntoAZeroedFrameClearsTheBit) {
+TEST_P(KnownZeroFrames, SwappedPagesComeBackInTheirOwnFrameWithTheirBit) {
   ZeroRig rig(GetParam());
   sim::FarTier& tier = *rig.as.far_tier();
   const sim::vaddr_t data_page = ZeroRig::Page(5);
   const sim::vaddr_t zero_page = ZeroRig::Page(6);
+  rig.as.EnsureResident(rig.ctx, data_page, kPageSize);
   rig.as.WriteWord(data_page + 8, 0xD00D);
   rig.ZeroPage(zero_page);
-  const sim::frame_t zeroed =
-      *rig.as.translation().Lookup(zero_page >> kPageShift);
-  // Evict the data page, then the zeroed one: the zeroed frame goes back to
-  // the pool last, so the data page's swap-in copies into it.
-  tier.SwapOut(rig.ctx, data_page >> kPageShift, nullptr);
+  const sim::Translation& table = rig.as.translation();
+  const sim::frame_t data_frame = *table.Lookup(data_page >> kPageShift);
+  const sim::frame_t zero_frame = *table.Lookup(zero_page >> kPageShift);
+  // Eviction hands each page's frame to its slot, bit and all.
+  ASSERT_TRUE(tier.SwapOut(rig.ctx, data_page >> kPageShift, nullptr));
   ASSERT_TRUE(tier.SwapOut(rig.ctx, zero_page >> kPageShift, nullptr));
-  rig.as.EnsureResident(rig.ctx, data_page, 8);
-  const auto frame = rig.as.translation().Lookup(data_page >> kPageShift);
-  ASSERT_TRUE(frame.has_value());
-  ASSERT_EQ(*frame, zeroed);
-  EXPECT_FALSE(rig.phys.known_zero(*frame));
+  const sim::Pte zero_pte = table.LookupPte(zero_page >> kPageShift);
+  ASSERT_TRUE(zero_pte.swapped());
+  EXPECT_EQ(tier.SlotFrame(zero_pte.swap_slot()), zero_frame);
+  EXPECT_TRUE(rig.phys.known_zero(zero_frame));
+  // Swap-in hands the same frame back: the zeroed page is still known zero
+  // (its next ZeroBytes is skipped), the data page keeps its bytes and a
+  // clear bit.
+  rig.as.EnsureResident(rig.ctx, zero_page, kPageSize);
+  rig.as.EnsureResident(rig.ctx, data_page, kPageSize);
+  ASSERT_EQ(*table.Lookup(zero_page >> kPageShift), zero_frame);
+  ASSERT_EQ(*table.Lookup(data_page >> kPageShift), data_frame);
+  EXPECT_TRUE(rig.phys.known_zero(zero_frame));
+  EXPECT_TRUE(rig.PageIsZero(zero_page));
+  EXPECT_FALSE(rig.phys.known_zero(data_frame));
   EXPECT_EQ(rig.as.ReadWord(data_page + 8), 0xD00Du);
   rig.ExpectZeroBytesClears(data_page);
+  rig.ExpectKnownZeroFramesAreZero();
+}
+
+TEST_P(KnownZeroFrames, RawWriteToASwappedPageClearsTheSlotFramesBit) {
+  ZeroRig rig(GetParam());
+  sim::FarTier& tier = *rig.as.far_tier();
+  const sim::vaddr_t page = ZeroRig::Page(10);
+  rig.ZeroPage(page);
+  ASSERT_TRUE(tier.SwapOut(rig.ctx, page >> kPageShift, nullptr));
+  const sim::Pte pte = rig.as.translation().LookupPte(page >> kPageShift);
+  ASSERT_TRUE(pte.swapped());
+  const sim::frame_t frame = tier.SlotFrame(pte.swap_slot());
+  ASSERT_TRUE(rig.phys.known_zero(frame));
+  // The uncosted raw path reaches the slot's frame directly, as RestoreHeap
+  // does: copy in, then report the write.
+  const std::uint64_t value = 0xFACE;
+  std::byte* dst = rig.as.RawPtr(page + 512);
+  EXPECT_EQ(dst, rig.phys.FrameData(frame) + 512);
+  std::memcpy(dst, &value, sizeof(value));
+  rig.phys.NoteWrite(dst);
+  EXPECT_FALSE(rig.phys.known_zero(frame));
+  EXPECT_TRUE(rig.as.translation().LookupPte(page >> kPageShift).swapped());
+  rig.ExpectKnownZeroFramesAreZero();
+  // Faulted back in, the page holds the raw write and zeroes for real.
+  rig.as.EnsureResident(rig.ctx, page, kPageSize);
+  EXPECT_EQ(rig.as.ReadWord(page + 512), value);
+  rig.ExpectZeroBytesClears(page);
   rig.ExpectKnownZeroFramesAreZero();
 }
 

@@ -245,6 +245,86 @@ TEST(TlbOccupancy, CountsMatchBruteForceOverRandomOps) {
   EXPECT_GT(tlb.misses(), 0u);
 }
 
+TEST(TlbOccupancy, CoreMaskMatchesLiveEntriesOverRandomOps) {
+  // Every op, whether on one core's TLB or machine-wide, must leave each
+  // core's bit for each dense ASID equal to "that TLB holds an entry of the
+  // ASID"; sparse ASIDs share a count and have no bit. Small TLBs keep
+  // victim replacement (an invalidation the op did not ask for) frequent.
+  Machine machine(4, ProfileXeonGold6130());
+  const std::uint64_t dense[] = {0, 1, 2, 7, Tlb::kDenseAsids - 1};
+  const std::uint64_t asids[] = {0, 1, 2, 7, Tlb::kDenseAsids - 1,
+                                 Tlb::kDenseAsids + 5, (1ULL << 63) | 1};
+  ASSERT_TRUE(machine.TracksTlbHolders(Tlb::kDenseAsids - 1));
+  ASSERT_FALSE(machine.TracksTlbHolders(Tlb::kDenseAsids));
+  std::uint64_t held_steps = 0;
+  Rng rng(16);
+  for (int step = 0; step < 20000; ++step) {
+    const unsigned core = static_cast<unsigned>(rng.NextBelow(4));
+    Tlb& tlb = machine.tlb(core);
+    CpuContext ctx(machine, core);
+    const std::uint64_t asid = asids[rng.NextBelow(std::size(asids))];
+    const std::uint64_t vpn =
+        rng.NextBelow(4) * kPagesPerHuge + rng.NextBelow(64);
+    const std::uint64_t op = rng.NextBelow(100);
+    if (op < 55) {
+      tlb.Insert(asid, vpn, vpn + 1000);
+    } else if (op < 62) {
+      tlb.InsertHuge(asid, vpn & ~kIndexMask, (vpn & ~kIndexMask) + 5000);
+    } else if (op < 75) {
+      tlb.FlushPage(asid, vpn);
+    } else if (op < 90) {
+      machine.FlushPageAllCores(ctx, asid, vpn);
+      // Visiting only the holders still leaves no core translating vpn.
+      for (unsigned c = 0; c < machine.num_cores(); ++c) {
+        for (const TlbSnapshotEntry& e : machine.tlb(c).SnapshotValidEntries()) {
+          ASSERT_FALSE(e.asid == asid &&
+                       (e.huge ? e.vpn == (vpn & ~kIndexMask) : e.vpn == vpn))
+              << "core " << c << " step " << step;
+        }
+      }
+    } else if (op < 95) {
+      tlb.FlushAsid(asid);
+    } else if (op < 98) {
+      machine.SendTlbShootdown(ctx, asid);
+    } else {
+      tlb.FlushAll();
+    }
+
+    for (const std::uint64_t a : dense) {
+      const std::uint64_t holders = machine.TlbHolders(a);
+      for (unsigned c = 0; c < machine.num_cores(); ++c) {
+        ASSERT_EQ((holders >> c) & 1, machine.tlb(c).LiveEntries(a) > 0 ? 1u : 0u)
+            << "asid " << a << " core " << c << " step " << step;
+      }
+      ASSERT_EQ(holders >> machine.num_cores(), 0u);
+      held_steps += holders != 0 ? 1 : 0;
+    }
+  }
+  EXPECT_GT(held_steps, 0u);
+}
+
+TEST(TlbOccupancy, PageFlushChargesEveryCoreWhateverItVisits) {
+  // The charge and the tally count all cores, held entries or not; a
+  // machine wider than the mask visits every core and still drops the page.
+  for (const unsigned cores : {4u, 65u}) {
+    Machine machine(cores, ProfileXeonGold6130());
+    EXPECT_EQ(machine.TracksTlbHolders(3), cores <= 64) << cores;
+    machine.tlb(1).Insert(3, 40, 7);
+    machine.tlb(cores - 1).Insert(3, 40, 7);
+    CpuContext ctx(machine, 0);
+    machine.FlushPageAllCores(ctx, 3, 40);
+    EXPECT_DOUBLE_EQ(ctx.account.ByKind(CostKind::kTlbFlushPage),
+                     machine.cost().tlb_flush_page * cores);
+    EXPECT_EQ(machine.metrics().counter("tlb.page_flushes").value(),
+              telemetry::kEnabled ? cores : 0u);
+    EXPECT_EQ(machine.tlb(1).LiveEntries(3), 0u);
+    EXPECT_EQ(machine.tlb(cores - 1).LiveEntries(3), 0u);
+    if (machine.TracksTlbHolders(3)) {
+      EXPECT_EQ(machine.TlbHolders(3), 0u);
+    }
+  }
+}
+
 // --- machine ----------------------------------------------------------------
 
 TEST(Machine, ShootdownChargesSenderAndDisturbsOthers) {

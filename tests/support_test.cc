@@ -276,6 +276,45 @@ TEST(WorkStealingDeque, ConcurrentStealersLoseNothing) {
   EXPECT_EQ(stolen_sum.load() + popped_sum.load(), pushed_sum);
 }
 
+TEST(WorkStealingDeque, StressEveryItemTakenExactlyOnce) {
+  // A small ring so indices wrap many times and bursts spill to overflow;
+  // the owner interleaves pushes with pops while three thieves steal, and
+  // every item must come out exactly once, by whichever side took it.
+  WorkStealingDeque<int> deque(64);
+  constexpr int kItems = 40000;
+  std::vector<std::atomic<int>> taken(kItems);
+  std::atomic<bool> done{false};
+  const auto take = [&](int item) {
+    taken[static_cast<std::size_t>(item)].fetch_add(1,
+                                                    std::memory_order_relaxed);
+  };
+
+  std::vector<std::thread> thieves;
+  for (int t = 0; t < 3; ++t) {
+    thieves.emplace_back([&] {
+      while (!done.load(std::memory_order_acquire)) {
+        if (auto v = deque.Steal()) take(*v);
+      }
+      while (auto v = deque.Steal()) take(*v);
+    });
+  }
+  Rng rng(16);
+  for (int next = 0; next < kItems;) {
+    const int burst = 1 + static_cast<int>(rng.NextBelow(100));
+    for (int i = 0; i < burst && next < kItems; ++i) deque.Push(next++);
+    const int pops = static_cast<int>(rng.NextBelow(burst + 1));
+    for (int i = 0; i < pops; ++i) {
+      if (auto v = deque.Pop()) take(*v);
+    }
+  }
+  while (auto v = deque.Pop()) take(*v);
+  done.store(true, std::memory_order_release);
+  for (auto& thief : thieves) thief.join();
+  for (int i = 0; i < kItems; ++i) {
+    ASSERT_EQ(taken[static_cast<std::size_t>(i)].load(), 1) << "item " << i;
+  }
+}
+
 // --- worker gang ------------------------------------------------------------
 
 TEST(WorkerGang, RunsEveryWorkerOnce) {

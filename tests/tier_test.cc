@@ -2,10 +2,11 @@
 // demotion, the userspace fault path, slot bijection, clock second chance),
 // SwapVA's zero-copy relink of swapped entries, the tier fault injections
 // (kSwapSlotWriteLost, kDoubleEvict), huge-unit interactions (madvise skip,
-// THP-split bookkeeping), the GC's cold-advice epilogue, and the
-// cross-backend differential sweep with overcommit enabled. TierSoak.* is
-// the overcommit soak ctest leg; it honors SVAGC_SOAK_SCALE like the fleet
-// and concurrent soaks.
+// THP-split bookkeeping), frame ownership (a swapped page's frame lives in
+// its slot), the victim-scan skip counters, the GC's cold-advice epilogue,
+// and the cross-backend differential sweep with overcommit enabled.
+// TierSoak.* is the overcommit soak ctest leg; it honors SVAGC_SOAK_SCALE
+// like the fleet and concurrent soaks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,9 +14,12 @@
 #include <string>
 #include <unordered_set>
 
+#include "runtime/jvm.h"
 #include "simkernel/swapva.h"
+#include "telemetry/metrics.h"
 #include "verify/differential_oracle.h"
 #include "verify/fault_injector.h"
+#include "verify/invariant_registry.h"
 #include "workloads/runner.h"
 
 namespace svagc {
@@ -361,6 +365,116 @@ TEST_P(TierConformance, UnmapReleasesSlotsOfSwappedPages) {
   EXPECT_EQ(rig.tier().used_slots(), 0u);
   EXPECT_EQ(rig.tier().resident_pages(), 0u);
   EXPECT_EQ(rig.as.translation().mapped_pages(), 0u);
+  // Swapped pages' frames lived in their slots and are back in the pool.
+  EXPECT_EQ(rig.phys.free_frames(), rig.phys.total_frames());
+}
+
+TEST_P(TierConformance, EvictionHandsTheFrameToTheSlotAndBack) {
+  TierRig rig(GetParam(), 8);
+  rig.Enable(8);
+  const std::uint64_t free_before = rig.phys.free_frames();
+  const std::uint64_t vpn = (rig.base >> kPageShift) + 3;
+  const sim::frame_t frame = *rig.as.translation().Lookup(vpn);
+  CpuContext ctx(rig.machine, 0);
+  ASSERT_TRUE(rig.tier().SwapOut(ctx, vpn, nullptr));
+  ASSERT_TRUE(rig.PteAt(3).swapped());
+  EXPECT_EQ(rig.tier().SlotFrame(rig.PteAt(3).swap_slot()), frame);
+  EXPECT_EQ(rig.phys.free_frames(), free_before);
+  EXPECT_EQ(rig.Tag(3), kTag + 3);
+  // The far write is charged in full though no byte moved.
+  EXPECT_DOUBLE_EQ(ctx.account.ByKind(CostKind::kFarWrite),
+                   rig.machine.cost().far_write_per_byte * kPageSize);
+  EXPECT_EQ(rig.as.ReadWordHw(ctx, rig.base + (3ull << kPageShift)), kTag + 3);
+  EXPECT_EQ(*rig.as.translation().Lookup(vpn), frame);
+  EXPECT_EQ(rig.phys.free_frames(), free_before);
+  EXPECT_DOUBLE_EQ(ctx.account.ByKind(CostKind::kFarRead),
+                   rig.machine.cost().far_read_per_byte * kPageSize);
+  ExpectBijection(rig);
+}
+
+TEST_P(TierConformance, VictimSkipCountersAccountForEveryPick) {
+  if (!telemetry::kEnabled) GTEST_SKIP() << "telemetry compiled out";
+  TierRig rig(GetParam(), 16);
+  rig.Enable(16);
+  const std::uint64_t vpn0 = rig.base >> kPageShift;
+  CpuContext ctx(rig.machine, 0);
+  // Page 15 goes out by hand (not a victim pick), then resident page 2
+  // relinks with it: the clock still tracks page 2, whose PTE is now
+  // swapped, and does not track page 15, now present.
+  ASSERT_TRUE(rig.tier().SwapOut(ctx, vpn0 + 15, nullptr));
+  ASSERT_EQ(rig.kernel.SysSwapVa(rig.as, ctx, rig.base + (2ull << kPageShift),
+                                 rig.base + (15ull << kPageShift), 1,
+                                 sim::SwapVaOptions{}),
+            sim::SysStatus::kOk);
+  ASSERT_TRUE(rig.PteAt(2).swapped());
+  ASSERT_TRUE(rig.PteAt(15).present());
+  rig.tier().PinRange(vpn0, 2);
+
+  const auto counter = [&](const char* name) {
+    return rig.machine.metrics().counter(name).value();
+  };
+  const std::uint64_t evictions_before = rig.tier().evictions();
+  rig.kernel.SysSetResidencyLimit(rig.as, ctx, 1);
+  const std::uint64_t evicted = rig.tier().evictions() - evictions_before;
+  const std::uint64_t unmapped =
+      counter("kernel.tier.victim_skips.unmapped");
+  const std::uint64_t not_present =
+      counter("kernel.tier.victim_skips.not_present");
+  const std::uint64_t pinned = counter("kernel.tier.victim_skips.pinned");
+  // Pages 3..14 demote; the pinned pair and untracked page 15 stay, and the
+  // scan ends after more consecutive pinned skips than tracked pages.
+  EXPECT_EQ(evicted, 12u);
+  EXPECT_EQ(rig.tier().resident_pages(), 3u);
+  EXPECT_EQ(unmapped, 0u);
+  EXPECT_EQ(not_present, 1u);
+  EXPECT_GE(pinned, 3u);
+  EXPECT_EQ(counter("kernel.tier.victims"),
+            evicted + unmapped + not_present + pinned);
+  rig.tier().UnpinRange(vpn0, 2);
+  ExpectBijection(rig);
+}
+
+// --- frame ownership in the tier-residency invariant -------------------------
+
+TEST(TierFrameOwnership, PresentPteAliasingASlotFrameFailsTheCheck) {
+  sim::Machine machine(2, ProfileXeonGold6130());
+  sim::Kernel kernel(machine);
+  sim::PhysicalMemory phys(72ULL << kPageShift);
+  rt::JvmConfig jvm_config;
+  jvm_config.heap.capacity = 64ULL << kPageShift;
+  rt::Jvm jvm(machine, phys, kernel, jvm_config);
+  sim::AddressSpace& as = jvm.address_space();
+  CpuContext ctx(machine, 0);
+  sim::FarTierConfig tier;
+  tier.resident_limit_pages = 32;
+  as.EnableFarTier(kernel, ctx, tier);
+  rt::VerifyResult result = verify::CheckTierResidency(jvm);
+  ASSERT_TRUE(result.ok) << result.error;
+
+  std::uint64_t swapped_vpn = 0;
+  std::uint64_t present_vpn = 0;
+  as.translation().VisitSmallPages([&](std::uint64_t vpn, Pte pte) {
+    if (pte.swapped()) swapped_vpn = vpn;
+    if (pte.present()) present_vpn = vpn;
+  });
+  ASSERT_NE(swapped_vpn, 0u);
+  ASSERT_NE(present_vpn, 0u);
+  const sim::frame_t slot_frame = as.far_tier()->SlotFrame(
+      as.translation().LookupPte(swapped_vpn).swap_slot());
+
+  // Corrupt one resident page to map the frame a swap slot holds: counts
+  // and slot bijection still agree, only frame ownership is broken.
+  const sim::Translation::PteRef ref = as.translation().LeafSlotRaw(present_vpn);
+  ASSERT_NE(ref.slot, nullptr);
+  const Pte saved = *ref.slot;
+  *ref.slot = Pte::Make(slot_frame);
+  result = verify::CheckTierResidency(jvm);
+  EXPECT_FALSE(result.ok);
+  EXPECT_NE(result.error.find("a present PTE also maps"), std::string::npos)
+      << result.error;
+  *ref.slot = saved;
+  result = verify::CheckTierResidency(jvm);
+  EXPECT_TRUE(result.ok) << result.error;
 }
 
 // --- GC integration: cold advice ---------------------------------------------
